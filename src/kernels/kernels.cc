@@ -1087,50 +1087,85 @@ lstm_gate_backward(int batch, int hidden, const float *z, const float *cprev,
 
 // --------------------------------------------------- im2col / col2im
 
+namespace {
+
+/**
+ * Outputs o in [lo, hi) of @p out whose tap o * stride + off lands
+ * inside [0, in): the non-padding span of one kernel offset.
+ */
+inline void
+tap_range(int out, int in, int stride, int off, int &lo, int &hi)
+{
+    if (stride == 1) {
+        lo = std::min(out, std::max(0, -off));
+        hi = std::min(out, in - off);
+    } else {
+        lo = off >= 0 ? 0 : std::min(out, (-off + stride - 1) / stride);
+        hi = in - 1 - off < 0 ? 0
+                              : std::min(out, (in - 1 - off) / stride + 1);
+    }
+    hi = std::max(hi, lo);
+}
+
+} // namespace
+
+// Both loops run (ky, kx) outermost so the tap spans are computed once
+// per kernel offset rather than once per channel.
+
 void
 im2col(const float *x, int channels, int ih, int iw, int k, int stride,
-       int pad, float *col)
+       int pad, float *col, size_t ld)
 {
     const int oh = conv_out_size(ih, k, stride, pad);
     const int ow = conv_out_size(iw, k, stride, pad);
-    const size_t ospatial = static_cast<size_t>(oh) * ow;
-    for (int c = 0; c < channels; ++c) {
-        const float *xc = x + static_cast<size_t>(c) * ih * iw;
-        for (int ky = 0; ky < k; ++ky) {
-            for (int kx = 0; kx < k; ++kx) {
+    const size_t plane = static_cast<size_t>(ih) * iw;
+    for (int ky = 0; ky < k; ++ky) {
+        int oy_lo, oy_hi;
+        tap_range(oh, ih, stride, ky - pad, oy_lo, oy_hi);
+        for (int kx = 0; kx < k; ++kx) {
+            int ox_lo, ox_hi;
+            tap_range(ow, iw, stride, kx - pad, ox_lo, ox_hi);
+            // Same-size stride-1 output: column and input rows share one
+            // pitch, so the valid block is one contiguous run of x.
+            const bool run = stride == 1 && ow == iw && ox_lo < ox_hi &&
+                oy_lo < oy_hi;
+            for (int c = 0; c < channels; ++c) {
+                const float *xc = x + c * plane;
                 float *crow =
-                    col + ((static_cast<size_t>(c) * k + ky) * k + kx) *
-                              ospatial;
-                for (int oy = 0; oy < oh; ++oy) {
-                    const int y_in = oy * stride + ky - pad;
+                    col + ((static_cast<size_t>(c) * k + ky) * k + kx) * ld;
+                // Rows whose taps all fall in the vertical padding.
+                std::fill(crow, crow + static_cast<size_t>(oy_lo) * ow,
+                          0.0f);
+                std::fill(crow + static_cast<size_t>(oy_hi) * ow,
+                          crow + static_cast<size_t>(oh) * ow, 0.0f);
+                if (run) {
+                    // Copy the run whole, then zero the taps that
+                    // wrapped around into the horizontal padding.
+                    const size_t first =
+                        static_cast<size_t>(oy_lo) * ow + ox_lo;
+                    const size_t last =
+                        static_cast<size_t>(oy_hi - 1) * ow + ox_hi;
+                    std::memcpy(crow + first,
+                                xc + static_cast<size_t>(oy_lo + ky - pad) *
+                                        iw +
+                                    (ox_lo + kx - pad),
+                                sizeof(float) * (last - first));
+                    for (int ox = 0; ox < ox_lo; ++ox)
+                        for (int oy = oy_lo; oy < oy_hi; ++oy)
+                            crow[static_cast<size_t>(oy) * ow + ox] = 0.0f;
+                    for (int ox = ox_hi; ox < ow; ++ox)
+                        for (int oy = oy_lo; oy < oy_hi; ++oy)
+                            crow[static_cast<size_t>(oy) * ow + ox] = 0.0f;
+                    continue;
+                }
+                for (int oy = oy_lo; oy < oy_hi; ++oy) {
                     float *orow = crow + static_cast<size_t>(oy) * ow;
-                    if (y_in < 0 || y_in >= ih) {
-                        std::memset(orow, 0,
-                                    sizeof(float) * static_cast<size_t>(ow));
-                        continue;
-                    }
-                    const float *xrow = xc + static_cast<size_t>(y_in) * iw;
-                    const int x0 = kx - pad;  // x_in at ox = 0.
-                    if (stride == 1) {
-                        // Contiguous tap run with zero fill at the edges.
-                        const int lo = std::max(0, -x0);
-                        const int hi = std::min(ow, iw - x0);
-                        for (int ox = 0; ox < lo; ++ox)
-                            orow[ox] = 0.0f;
-                        if (hi > lo)
-                            std::memcpy(orow + lo, xrow + x0 + lo,
-                                        sizeof(float) *
-                                            static_cast<size_t>(hi - lo));
-                        for (int ox = std::max(lo, hi); ox < ow; ++ox)
-                            orow[ox] = 0.0f;
-                    } else {
-                        for (int ox = 0; ox < ow; ++ox) {
-                            const int x_in = x0 + ox * stride;
-                            orow[ox] = (x_in < 0 || x_in >= iw)
-                                           ? 0.0f
-                                           : xrow[x_in];
-                        }
-                    }
+                    const float *xrow = xc +
+                        static_cast<size_t>(oy * stride + ky - pad) * iw;
+                    std::fill(orow, orow + ox_lo, 0.0f);
+                    for (int ox = ox_lo; ox < ox_hi; ++ox)
+                        orow[ox] = xrow[ox * stride + kx - pad];
+                    std::fill(orow + ox_hi, orow + ow, 0.0f);
                 }
             }
         }
@@ -1139,28 +1174,35 @@ im2col(const float *x, int channels, int ih, int iw, int k, int stride,
 
 void
 col2im_add(const float *col, int channels, int ih, int iw, int k, int stride,
-           int pad, float *x)
+           int pad, float *x, size_t ld)
 {
+    // Within one (c, ky, kx) row each input element receives at most one
+    // tap, and channels fold into disjoint planes, so every element
+    // still sees its adds in ascending (ky, kx) order.
     const int oh = conv_out_size(ih, k, stride, pad);
     const int ow = conv_out_size(iw, k, stride, pad);
-    const size_t ospatial = static_cast<size_t>(oh) * ow;
-    for (int c = 0; c < channels; ++c) {
-        float *xc = x + static_cast<size_t>(c) * ih * iw;
-        for (int ky = 0; ky < k; ++ky) {
-            for (int kx = 0; kx < k; ++kx) {
+    const size_t plane = static_cast<size_t>(ih) * iw;
+    for (int ky = 0; ky < k; ++ky) {
+        int oy_lo, oy_hi;
+        tap_range(oh, ih, stride, ky - pad, oy_lo, oy_hi);
+        for (int kx = 0; kx < k; ++kx) {
+            int ox_lo, ox_hi;
+            tap_range(ow, iw, stride, kx - pad, ox_lo, ox_hi);
+            for (int c = 0; c < channels; ++c) {
+                float *xc = x + c * plane;
                 const float *crow =
-                    col + ((static_cast<size_t>(c) * k + ky) * k + kx) *
-                              ospatial;
-                for (int oy = 0; oy < oh; ++oy) {
-                    const int y_in = oy * stride + ky - pad;
-                    if (y_in < 0 || y_in >= ih)
-                        continue;
-                    float *xrow = xc + static_cast<size_t>(y_in) * iw;
+                    col + ((static_cast<size_t>(c) * k + ky) * k + kx) * ld;
+                for (int oy = oy_lo; oy < oy_hi; ++oy) {
+                    float *xrow = xc +
+                        static_cast<size_t>(oy * stride + ky - pad) * iw;
                     const float *orow = crow + static_cast<size_t>(oy) * ow;
-                    for (int ox = 0; ox < ow; ++ox) {
-                        const int x_in = kx - pad + ox * stride;
-                        if (x_in >= 0 && x_in < iw)
-                            xrow[x_in] += orow[ox];
+                    if (stride == 1) {
+                        float *xr = xrow + (kx - pad);
+                        for (int ox = ox_lo; ox < ox_hi; ++ox)
+                            xr[ox] += orow[ox];
+                    } else {
+                        for (int ox = ox_lo; ox < ox_hi; ++ox)
+                            xrow[ox * stride + kx - pad] += orow[ox];
                     }
                 }
             }

@@ -274,6 +274,10 @@ void lstm_gate_infer(int batch, int hidden, float *z, const float *cprev,
 // (c * k + ky) * k + kx — the ascending (c, ky, kx) order the seed's
 // direct convolution reduced in, so scalar conv-by-GEMM reproduces the
 // seed's direct-loop bits. Out-of-range taps are written as zeros.
+// Rows sit @p ld floats apart: ld = oh * ow is one sample's dense
+// buffer; ld = batch * oh * ow with col offset by n * oh * ow places
+// sample n's columns inside a batch-wide {patch, batch * oh * ow}
+// matrix, so a whole batch convolves with one GEMM and no gather copy.
 
 /** Spatial output size for one dimension. */
 inline int
@@ -282,13 +286,13 @@ conv_out_size(int in, int k, int stride, int pad)
     return (in + 2 * pad - k) / stride + 1;
 }
 
-/** Unfold x {channels, ih, iw} into col (see layout above). */
+/** Unfold x {channels, ih, iw} into col, rows @p ld apart (see above). */
 void im2col(const float *x, int channels, int ih, int iw, int k, int stride,
-            int pad, float *col);
+            int pad, float *col, size_t ld);
 
-/** Fold col back, accumulating overlapping taps into x. */
+/** Fold col (rows @p ld apart) back, accumulating overlapping taps into x. */
 void col2im_add(const float *col, int channels, int ih, int iw, int k,
-                int stride, int pad, float *x);
+                int stride, int pad, float *x, size_t ld);
 
 } // namespace autofl::kernels
 

@@ -1,7 +1,7 @@
 #include "conv2d.h"
 
+#include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <sstream>
 
 #include "kernels/kernels.h"
@@ -35,76 +35,57 @@ Tensor
 Conv2D::forward(Tensor x)
 {
     assert(x.rank() == 4 && x.dim(1) == in_ch_);
-    x_cache_ = std::move(x);  // Backward re-unfolds the input for dW.
-    return convolve(x_cache_);
+    x_cache_ = std::move(x);
+    return wide(x_cache_) ? convolve_wide(x_cache_, colw_)
+                          : convolve(x_cache_);
 }
 
 Tensor
 Conv2D::infer(Tensor x)
 {
     assert(x.rank() == 4 && x.dim(1) == in_ch_);
-    const int batch = x.dim(0);
-    // Grouped (depthwise) convolutions stay per-sample: their GEMMs
-    // are so small (depthwise M = 1, K = k*k) that gathering a wide
-    // column buffer costs more than the GEMM saves. Pointwise convs
-    // skip the wide gather too: convolve() needs no unfold for them
-    // and packs W's panels once for the whole batch, so the gather
-    // and the output un-scatter would add the only copies in the
-    // pipeline (the MobileNet batched-throughput regression came from
-    // exactly those copies).
-    if (batch == 1 || groups_ > 1 || pointwise())
-        return convolve(x);
+    // Separate column scratch: an infer() between forward() and
+    // backward() must not overwrite the columns backward() reuses.
+    return wide(x) ? convolve_wide(x, col_) : convolve(x);
+}
 
-    // Batched inference (ungrouped, non-pointwise by the guard above):
-    // gather every sample's columns into one wide
-    // {patch, batch * ospatial} buffer and convolve the whole batch
-    // with a single GEMM — batch tiny per-sample GEMMs become one call
-    // with a wide N. Each output element is still the same ascending-k
-    // dot product on top of the pre-filled bias, so the result is
-    // bit-identical to the per-sample path on the scalar arch.
-    const int ih = x.dim(2), iw = x.dim(3);
+Tensor
+Conv2D::convolve_wide(const Tensor &xin, AlignedFloatVec &col)
+{
+    const int batch = xin.dim(0), ih = xin.dim(2), iw = xin.dim(3);
     const int oh = out_size(ih), ow = out_size(iw);
     const int patch = in_ch_ * k_ * k_;
-    const int ospatial = oh * ow;
+    const size_t ospatial = static_cast<size_t>(oh) * ow;
     const size_t cols = static_cast<size_t>(batch) * ospatial;
-    const size_t row_bytes = sizeof(float) * static_cast<size_t>(ospatial);
+    const size_t in_plane = static_cast<size_t>(in_ch_) * ih * iw;
     Tensor y({batch, out_ch_, oh, ow});
 
-    col_.resize(static_cast<size_t>(patch) * ospatial);
-    colw_.resize(static_cast<size_t>(patch) * cols);
+    // Sample n's columns land at column offset n * ospatial of one
+    // {patch, batch * ospatial} matrix.
+    col.resize(static_cast<size_t>(patch) * cols);
     outw_.resize(static_cast<size_t>(out_ch_) * cols);
+    for (int n = 0; n < batch; ++n)
+        kernels::im2col(xin.data() + n * in_plane, in_ch_, ih, iw, k_,
+                        stride_, pad_, col.data() + n * ospatial, cols);
 
-    for (int n = 0; n < batch; ++n) {
-        const float *xn = x.data() +
-            static_cast<size_t>(n) * in_ch_ * ih * iw;
-        kernels::im2col(xn, in_ch_, ih, iw, k_, stride_, pad_,
-                        col_.data());
-        for (int r = 0; r < patch; ++r) {
-            std::memcpy(colw_.data() + static_cast<size_t>(r) * cols +
-                            static_cast<size_t>(n) * ospatial,
-                        col_.data() + static_cast<size_t>(r) * ospatial,
-                        row_bytes);
-        }
-    }
+    // Bias pre-fill, then one GEMM accumulating on top: per output
+    // element the same ascending-k dot product as the per-sample path.
     for (int oc = 0; oc < out_ch_; ++oc) {
-        const float bias = b_[static_cast<size_t>(oc)];
-        float *orow = outw_.data() + static_cast<size_t>(oc) * cols;
-        for (size_t i = 0; i < cols; ++i)
-            orow[i] = bias;
+        float *orow = outw_.data() + oc * cols;
+        std::fill(orow, orow + cols, b_[static_cast<size_t>(oc)]);
     }
     kernels::gemm(out_ch_, static_cast<int>(cols), patch, w_.data(), patch,
-                  colw_.data(), static_cast<int>(cols), outw_.data(),
+                  col.data(), static_cast<int>(cols), outw_.data(),
                   static_cast<int>(cols), /*accumulate=*/true);
-    for (int n = 0; n < batch; ++n) {
+
+    // {out_ch, batch, ospatial} -> {batch, out_ch, ospatial}.
+    for (int n = 0; n < batch; ++n)
         for (int oc = 0; oc < out_ch_; ++oc) {
-            std::memcpy(y.data() +
-                            (static_cast<size_t>(n) * out_ch_ + oc) *
-                                ospatial,
-                        outw_.data() + static_cast<size_t>(oc) * cols +
-                            static_cast<size_t>(n) * ospatial,
-                        row_bytes);
+            const float *src = outw_.data() + oc * cols + n * ospatial;
+            std::copy(src, src + ospatial,
+                      y.data() + (static_cast<size_t>(n) * out_ch_ + oc) *
+                                     ospatial);
         }
-    }
     return y;
 }
 
@@ -135,7 +116,7 @@ Conv2D::convolve(const Tensor &xin)
             const float *col = xg;
             if (!pointwise()) {
                 kernels::im2col(xg, icg, ih, iw, k_, stride_, pad_,
-                                col_.data());
+                                col_.data(), ospatial);
                 col = col_.data();
             }
             // Pre-fill the output rows with the bias, then let the GEMM
@@ -176,6 +157,11 @@ Conv2D::backward(const Tensor &grad_out)
            grad_out.dim(3) == ow);
     Tensor dx({batch, in_ch_, ih, iw});
 
+    if (wide(x)) {
+        backward_wide(grad_out, dx);
+        return dx;
+    }
+
     if (!pointwise()) {
         col_.resize(static_cast<size_t>(patch) * ospatial);
         dcol_.resize(static_cast<size_t>(patch) * ospatial);
@@ -207,7 +193,7 @@ Conv2D::backward(const Tensor &grad_out)
             const float *col = xg;
             if (!pointwise()) {
                 kernels::im2col(xg, icg, ih, iw, k_, stride_, pad_,
-                                col_.data());
+                                col_.data(), ospatial);
                 col = col_.data();
             }
             // dW_g += dy_g x col^T.
@@ -228,10 +214,64 @@ Conv2D::backward(const Tensor &grad_out)
                                  ospatial, dcol, ospatial);
             if (!pointwise())
                 kernels::col2im_add(dcol_.data(), icg, ih, iw, k_, stride_,
-                                    pad_, dxg);
+                                    pad_, dxg, ospatial);
         }
     }
     return dx;
+}
+
+void
+Conv2D::backward_wide(const Tensor &grad_out, Tensor &dx)
+{
+    const int batch = dx.dim(0), ih = dx.dim(2), iw = dx.dim(3);
+    const int patch = in_ch_ * k_ * k_;
+    const size_t ospatial = static_cast<size_t>(grad_out.dim(2)) *
+        grad_out.dim(3);
+    const size_t cols = static_cast<size_t>(batch) * ospatial;
+    const size_t in_plane = static_cast<size_t>(in_ch_) * ih * iw;
+
+    // Gather dy {batch, out_ch, ospatial} into the {out_ch, batch *
+    // ospatial} layout of forward()'s output GEMM.
+    outw_.resize(static_cast<size_t>(out_ch_) * cols);
+    for (int n = 0; n < batch; ++n)
+        for (int oc = 0; oc < out_ch_; ++oc) {
+            const float *src = grad_out.data() +
+                (static_cast<size_t>(n) * out_ch_ + oc) * ospatial;
+            std::copy(src, src + ospatial,
+                      outw_.data() + oc * cols + n * ospatial);
+        }
+
+    // db: each row in (sample, spatial) order — the same sequence of
+    // adds the per-sample path makes.
+    for (int oc = 0; oc < out_ch_; ++oc) {
+        const float *dyrow = outw_.data() + oc * cols;
+        float &db = db_[static_cast<size_t>(oc)];
+        for (size_t i = 0; i < cols; ++i)
+            db += dyrow[i];
+    }
+
+    // dW += dy x col^T over the whole batch, on the columns forward()
+    // cached. It is computed as its transpose col x dy^T: the same dot
+    // product per element, but the long col operand streams once while
+    // the short dy stays in cache.
+    const int ld = static_cast<int>(cols);
+    dwt_.resize(static_cast<size_t>(patch) * out_ch_);
+    kernels::gemm_nt(patch, out_ch_, ld, colw_.data(), ld, outw_.data(), ld,
+                     dwt_.data(), out_ch_);
+    for (int oc = 0; oc < out_ch_; ++oc) {
+        float *dwrow = dw_.data() + static_cast<size_t>(oc) * patch;
+        for (int r = 0; r < patch; ++r)
+            dwrow[r] += dwt_[static_cast<size_t>(r) * out_ch_ + oc];
+    }
+
+    // dcol = W^T x dy, folded back sample by sample.
+    dcol_.resize(static_cast<size_t>(patch) * cols);
+    const kernels::PackedGemm wpt = kernels::pack_gemm_a(
+        patch, out_ch_, w_.data(), patch, /*a_transposed=*/true);
+    kernels::gemm_packed_a(wpt, ld, outw_.data(), ld, dcol_.data(), ld);
+    for (int n = 0; n < batch; ++n)
+        kernels::col2im_add(dcol_.data() + n * ospatial, in_ch_, ih, iw, k_,
+                            stride_, pad_, dx.data() + n * in_plane, cols);
 }
 
 std::vector<int>

@@ -5,12 +5,24 @@
  *
  * Groups support both regular convolution (groups = 1) and the depthwise
  * convolutions used by the MobileNet-style model (groups = in_channels).
- * Per (sample, group) the forward pass unfolds the input into a column
- * buffer and runs one GEMM against the {out_ch/g, in_ch/g * k * k}
- * weight view (bias pre-filled, GEMM accumulating on top — the same
- * reduction order as the original direct loops). 1x1/stride-1/no-pad
- * convolutions skip the unfold and multiply the input directly.
- * Backward recomputes the column buffer (cheaper than caching the k^2x
+ *
+ * Ungrouped, non-pointwise layers at batch > 1 take the batch-wide path
+ * (the unrolled-convolution lowering of Chellapilla et al., 2006) in
+ * forward(), infer() and backward() alike: every sample unfolds once,
+ * straight into one {patch, batch * ospatial} column matrix, and each
+ * pass is one GEMM over the whole batch — forward W x col on top of the
+ * bias pre-fill; backward dW += dy x col^T (col cached by forward, not
+ * re-unfolded) and dcol = W^T x dy, folded back per sample by a
+ * row-strided col2im. Each output and dx element keeps the per-sample
+ * path's ascending-k reduction, so on the scalar arch y, dx and db are
+ * bit-identical to feeding the samples one at a time; dW sums over
+ * (sample, spatial) in one reduction instead of sample by sample.
+ *
+ * Everything else stays per (sample, group): batch 1, grouped
+ * (depthwise) layers, whose GEMMs are too small to pay for a wide
+ * gather, and pointwise (1x1/s1/p0) layers, which skip the unfold and
+ * multiply the input directly with W packed once per batch. Their
+ * backward recomputes the column buffer (cheaper than caching the k^2x
  * blow-up) for dW and folds the W^T dy product back with col2im.
  */
 #ifndef AUTOFL_NN_CONV2D_H
@@ -53,14 +65,31 @@ class Conv2D : public Layer
     Tensor b_;  ///< {out_ch}
     Tensor dw_;
     Tensor db_;
-    Tensor x_cache_;   ///< Moved-in input (backward re-unfolds it).
-    AlignedFloatVec col_;   ///< im2col scratch, reused across samples.
+    Tensor x_cache_;  ///< Moved-in input (per-sample backward re-unfolds).
+    AlignedFloatVec col_;   ///< Per-sample or infer() unfold scratch.
+    AlignedFloatVec colw_;  ///< forward()'s wide columns, for backward().
     AlignedFloatVec dcol_;  ///< Backward column-gradient scratch.
-    AlignedFloatVec colw_;  ///< Batch-wide column buffer (infer only).
-    AlignedFloatVec outw_;  ///< Batch-wide output buffer (infer only).
+    AlignedFloatVec outw_;  ///< Wide {out_ch, batch * ospatial} y or dy.
+    AlignedFloatVec dwt_;   ///< Wide backward's dW^T {patch, out_ch}.
 
-    /** Shared im2col + GEMM body of forward() and infer(batch == 1). */
+    /** Per-(sample, group) im2col + GEMM body. */
     Tensor convolve(const Tensor &xin);
+
+    /**
+     * The batch-wide convolution of forward() and infer(): unfolds the
+     * whole batch into @p col and runs one GEMM. forward() passes the
+     * columns backward() reuses; infer() passes separate scratch.
+     */
+    Tensor convolve_wide(const Tensor &xin, AlignedFloatVec &col);
+
+    /** Batch-wide backward on forward()'s cached columns; fills @p dx. */
+    void backward_wide(const Tensor &grad_out, Tensor &dx);
+
+    /** Whether an input of this shape takes the batch-wide path. */
+    bool wide(const Tensor &x) const
+    {
+        return x.dim(0) > 1 && groups_ == 1 && !pointwise();
+    }
 
     /** Whether im2col is the identity (pointwise convolution). */
     bool pointwise() const

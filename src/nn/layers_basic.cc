@@ -53,40 +53,67 @@ MaxPool2D::MaxPool2D(int k, int stride)
 {
 }
 
+namespace {
+
+/**
+ * Window max over @p planes {ih, iw} planes into y (and the winners'
+ * flat indices into @p argmax when non-null). Each window scans (ky, kx)
+ * in row-major order and keeps the first strict maximum; the winner
+ * starts at the window's own first element, so a window of only -inf
+ * or NaN still routes its gradient inside itself. @p K > 0 fixes the
+ * window and stride to K at compile time (the unrolled 2x2 path).
+ */
+template <int K>
+void
+pool_planes(const float *x, size_t planes, int ih, int iw, int k, int stride,
+            int oh, int ow, float *y, size_t *argmax)
+{
+    const int kk = K > 0 ? K : k;
+    const int ss = K > 0 ? K : stride;
+    size_t o = 0;
+    for (size_t p = 0; p < planes; ++p) {
+        const size_t plane = p * ih * iw;
+        for (int oy = 0; oy < oh; ++oy) {
+            const size_t row = plane + static_cast<size_t>(oy) * ss * iw;
+            for (int ox = 0; ox < ow; ++ox, ++o) {
+                const size_t first = row + static_cast<size_t>(ox) * ss;
+                float best = -std::numeric_limits<float>::infinity();
+                int off = 0;  // Winner's offset from the window's first.
+                for (int ky = 0; ky < kk; ++ky) {
+                    for (int kx = 0; kx < kk; ++kx) {
+                        // Selects, not a branch: which tap wins
+                        // depends on the data, so a branch would
+                        // mispredict often.
+                        const float v = x[first + ky * iw + kx];
+                        const bool gt = v > best;
+                        best = gt ? v : best;
+                        off = gt ? ky * iw + kx : off;
+                    }
+                }
+                y[o] = best;
+                if (argmax != nullptr)
+                    argmax[o] = first + off;
+            }
+        }
+    }
+}
+
+} // namespace
+
 Tensor
 MaxPool2D::pool(const Tensor &x, size_t *argmax) const
 {
     assert(x.rank() == 4);
-    const int batch = x.dim(0), ch = x.dim(1), ih = x.dim(2), iw = x.dim(3);
+    const int ih = x.dim(2), iw = x.dim(3);
     const int oh = out_size(ih), ow = out_size(iw);
-    Tensor y({batch, ch, oh, ow});
-    size_t out_idx = 0;
-    for (int n = 0; n < batch; ++n) {
-        for (int c = 0; c < ch; ++c) {
-            for (int oy = 0; oy < oh; ++oy) {
-                for (int ox = 0; ox < ow; ++ox, ++out_idx) {
-                    float best = -std::numeric_limits<float>::infinity();
-                    size_t best_idx = 0;
-                    for (int ky = 0; ky < k_; ++ky) {
-                        for (int kx = 0; kx < k_; ++kx) {
-                            const int yy = oy * stride_ + ky;
-                            const int xx = ox * stride_ + kx;
-                            const size_t idx =
-                                ((static_cast<size_t>(n) * ch + c) * ih + yy) *
-                                    iw + xx;
-                            if (x[idx] > best) {
-                                best = x[idx];
-                                best_idx = idx;
-                            }
-                        }
-                    }
-                    y[out_idx] = best;
-                    if (argmax != nullptr)
-                        argmax[out_idx] = best_idx;
-                }
-            }
-        }
-    }
+    const size_t planes = static_cast<size_t>(x.dim(0)) * x.dim(1);
+    Tensor y({x.dim(0), x.dim(1), oh, ow});
+    if (k_ == 2 && stride_ == 2)
+        pool_planes<2>(x.data(), planes, ih, iw, k_, stride_, oh, ow,
+                       y.data(), argmax);
+    else
+        pool_planes<0>(x.data(), planes, ih, iw, k_, stride_, oh, ow,
+                       y.data(), argmax);
     return y;
 }
 
@@ -94,7 +121,7 @@ Tensor
 MaxPool2D::forward(Tensor x)
 {
     in_shape_ = x.shape();
-    argmax_.assign(Tensor::shape_size(output_shape(in_shape_)), 0);
+    argmax_.resize(Tensor::shape_size(output_shape(in_shape_)));
     return pool(x, argmax_.data());
 }
 

@@ -69,7 +69,8 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvCase{2, 4, 4, 5, 3, 1, 1, 4},   // depthwise
                       ConvCase{1, 4, 8, 4, 1, 1, 0, 1},   // pointwise
                       ConvCase{2, 6, 6, 5, 3, 1, 1, 2},   // grouped
-                      ConvCase{1, 1, 1, 7, 5, 2, 2, 1}));
+                      ConvCase{1, 1, 1, 7, 5, 2, 2, 1},
+                      ConvCase{3, 2, 3, 7, 3, 2, 1, 1})); // wide, strided
 
 struct PoolCase
 {

@@ -312,7 +312,9 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvShape{1, 4, 8, 8, 1, 1, 0, 1},   // pointwise
                       ConvShape{2, 4, 4, 7, 3, 1, 1, 4},   // depthwise
                       ConvShape{1, 6, 6, 10, 3, 2, 1, 2},  // strided group
-                      ConvShape{3, 1, 2, 12, 5, 2, 2, 1}));
+                      ConvShape{3, 1, 2, 12, 5, 2, 2, 1},
+                      ConvShape{16, 1, 8, 12, 3, 1, 1, 1},   // CNN conv1
+                      ConvShape{16, 8, 16, 6, 3, 1, 1, 1})); // CNN conv2
 
 /** LSTM forward/backward agree across variants within tolerance. */
 TEST(LstmParity, ForwardBackwardParity)
@@ -352,13 +354,14 @@ TEST(Im2Col, PointwiseIdentityAndRoundTrip)
     const int ch = 3, ih = 5, iw = 4;
     const auto x = random_vec(static_cast<size_t>(ch) * ih * iw, rng);
     std::vector<float> col(x.size(), 0.0f);
-    kernels::im2col(x.data(), ch, ih, iw, 1, 1, 0, col.data());
+    kernels::im2col(x.data(), ch, ih, iw, 1, 1, 0, col.data(), ih * iw);
     EXPECT_EQ(std::vector<float>(col.begin(), col.end()), x);
 
     // col2im_add of an im2col'ed buffer counts each input tap once per
     // kernel window covering it; for k=1 that is exactly once.
     std::vector<float> back(x.size(), 0.0f);
-    kernels::col2im_add(col.data(), ch, ih, iw, 1, 1, 0, back.data());
+    kernels::col2im_add(col.data(), ch, ih, iw, 1, 1, 0, back.data(),
+                        ih * iw);
     EXPECT_EQ(back, x);
 }
 
@@ -371,11 +374,54 @@ TEST(Im2Col, PaddingIsZero)
     for (auto &v : x)
         v = 1.0f + static_cast<float>(rng.uniform(0, 1));
     std::vector<float> col(static_cast<size_t>(k) * k * 9, -1.0f);
-    kernels::im2col(x.data(), ch, ih, iw, k, 1, pad, col.data());
+    kernels::im2col(x.data(), ch, ih, iw, k, 1, pad, col.data(), 9);
     // Top-left output pixel, top-left kernel tap reads x[-1,-1]: zero.
     EXPECT_EQ(col[0], 0.0f);
     // Center tap (ky=1, kx=1) at output (0,0) is x[0,0]: no padding.
     EXPECT_EQ(col[(1 * 3 + 1) * 9 + 0], x[0]);
+}
+
+/**
+ * A row stride ld > oh * ow embeds one sample's columns in a wider
+ * batch matrix: im2col writes exactly the dense buffer's values into
+ * its own column block and touches no other column, and col2im_add
+ * folds that block back to what the dense buffer folds to.
+ */
+TEST(Im2Col, RowStrideEmbedsSampleInWideBuffer)
+{
+    Rng rng(52);
+    const int ch = 2, ih = 7, iw = 6, k = 3, stride = 2, pad = 1;
+    const int oh = kernels::conv_out_size(ih, k, stride, pad);
+    const int ow = kernels::conv_out_size(iw, k, stride, pad);
+    const size_t ospatial = static_cast<size_t>(oh) * ow;
+    const size_t patch = static_cast<size_t>(ch) * k * k;
+    const size_t ld = 3 * ospatial;  // Sample 1 of a batch of 3.
+    const auto x = random_vec(static_cast<size_t>(ch) * ih * iw, rng);
+
+    std::vector<float> dense(patch * ospatial);
+    kernels::im2col(x.data(), ch, ih, iw, k, stride, pad, dense.data(),
+                    ospatial);
+    const float sentinel = -7.0f;
+    std::vector<float> wide(patch * ld, sentinel);
+    kernels::im2col(x.data(), ch, ih, iw, k, stride, pad,
+                    wide.data() + ospatial, ld);
+    for (size_t r = 0; r < patch; ++r) {
+        for (size_t j = 0; j < ld; ++j) {
+            const float got = wide[r * ld + j];
+            if (j >= ospatial && j < 2 * ospatial)
+                ASSERT_EQ(got, dense[r * ospatial + j - ospatial])
+                    << "row " << r << " col " << j;
+            else
+                ASSERT_EQ(got, sentinel) << "row " << r << " col " << j;
+        }
+    }
+
+    std::vector<float> from_dense(x.size(), 0.0f), from_wide(x.size(), 0.0f);
+    kernels::col2im_add(dense.data(), ch, ih, iw, k, stride, pad,
+                        from_dense.data(), ospatial);
+    kernels::col2im_add(wide.data() + ospatial, ch, ih, iw, k, stride, pad,
+                        from_wide.data(), ld);
+    EXPECT_EQ(from_wide, from_dense);
 }
 
 /** The env override is visible through the arch API. */

@@ -1,9 +1,14 @@
 /** @file NN layer semantics, loss, SGD, Sequential and model-zoo tests. */
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <set>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
+#include "kernels/kernels.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
 #include "nn/layers_basic.h"
@@ -11,6 +16,7 @@
 #include "nn/lstm.h"
 #include "nn/models.h"
 #include "nn/sgd.h"
+#include "test_util.h"
 
 namespace autofl {
 namespace {
@@ -68,6 +74,198 @@ TEST(Conv2D, DepthwiseKeepsChannelsSeparate)
     EXPECT_FLOAT_EQ(y[1], 21.0f);
 }
 
+/** Flat copy of a tensor's values. */
+std::vector<float>
+values(const Tensor &t)
+{
+    return {t.vec().begin(), t.vec().end()};
+}
+
+/** Sample @p n of a {batch, ...} tensor as a batch-1 tensor. */
+Tensor
+sample_of(const Tensor &t, int n)
+{
+    std::vector<int> shape = t.shape();
+    shape[0] = 1;
+    Tensor s(shape);
+    std::copy_n(t.data() + static_cast<size_t>(n) * s.size(), s.size(),
+                s.data());
+    return s;
+}
+
+/** Everything one conv forward/backward produces, flattened. */
+struct ConvPass
+{
+    std::vector<float> y, dx, dw, db;
+};
+
+/**
+ * The whole batch in one forward() and backward(); @p between, when
+ * set, is inferred in between (it must not disturb the gradients).
+ */
+ConvPass
+run_batched(Conv2D &layer, const Tensor &x, const Tensor &dy,
+            const Tensor *between = nullptr)
+{
+    layer.zero_grad();
+    ConvPass r;
+    r.y = values(layer.forward(x));
+    if (between != nullptr)
+        layer.infer(*between);
+    r.dx = values(layer.backward(dy));
+    r.dw = values(*layer.grads()[0]);
+    r.db = values(*layer.grads()[1]);
+    return r;
+}
+
+/** Reference: one sample at a time (batch 1), gradients summed. */
+ConvPass
+run_per_sample(Conv2D &layer, const Tensor &x, const Tensor &dy)
+{
+    layer.zero_grad();
+    ConvPass r;
+    for (int n = 0; n < x.dim(0); ++n) {
+        const auto y = values(layer.forward(sample_of(x, n)));
+        const auto dx = values(layer.backward(sample_of(dy, n)));
+        r.y.insert(r.y.end(), y.begin(), y.end());
+        r.dx.insert(r.dx.end(), dx.begin(), dx.end());
+    }
+    r.dw = values(*layer.grads()[0]);
+    r.db = values(*layer.grads()[1]);
+    return r;
+}
+
+/** Random conv layer, input and upstream gradient for one shape. */
+struct ConvFixture
+{
+    Conv2D layer;
+    Tensor x, dy;
+
+    ConvFixture(int batch, int in_ch, int out_ch, int side, int k, int pad,
+                int groups)
+        : layer(in_ch, out_ch, k, 1, pad, groups),
+          x({batch, in_ch, side, side})
+    {
+        Rng rng(static_cast<uint64_t>(batch * 131 + in_ch * 7 + groups));
+        layer.init_weights(rng);
+        // Non-zero biases so the bias pre-fill order is exercised.
+        testing::randomize(*layer.params()[1], rng);
+        testing::randomize(x, rng, 1.0);
+        dy = Tensor(layer.output_shape(x.shape()));
+        testing::randomize(dy, rng, 1.0);
+    }
+};
+
+/** Index of the first bitwise difference, or -1. */
+long
+first_diff(const std::vector<float> &a, const std::vector<float> &b)
+{
+    if (a.size() != b.size())
+        return 0;
+    for (size_t i = 0; i < a.size(); ++i)
+        if (std::memcmp(&a[i], &b[i], sizeof(float)) != 0)
+            return static_cast<long>(i);
+    return -1;
+}
+
+/**
+ * Every |a_i - b_i| within @p tol of the largest magnitude in @p b (at
+ * least 1): the norm-wise relative error of a reordered reduction,
+ * which per-element ratios overstate wherever terms cancel.
+ */
+void
+expect_rel_close(const std::vector<float> &a, const std::vector<float> &b,
+                 double tol, const char *what)
+{
+    ASSERT_EQ(a.size(), b.size()) << what;
+    double scale = 1.0;
+    for (float v : b)
+        scale = std::max(scale, std::abs(static_cast<double>(v)));
+    for (size_t i = 0; i < a.size(); ++i)
+        ASSERT_NEAR(a[i], b[i], tol * scale) << what << " index " << i;
+}
+
+/**
+ * The CNN's two convolutions at the training batch (16) and at a
+ * remainder batch (4) take the batch-wide path; fed the same samples
+ * one at a time (batch 1 stays per-sample) they must agree: y, dx and
+ * db bit-identical on the scalar arch (every element keeps its
+ * reduction order), dW within 1e-5 (one (sample, spatial) reduction
+ * instead of per-sample partial sums). On the SIMD arch the wide and
+ * per-sample GEMMs are different shapes, so all four sit in the 1e-4
+ * tolerance class.
+ */
+TEST(Conv2D, BatchWideMatchesPerSample)
+{
+    const kernels::KernelArch native = kernels::current_kernel_arch();
+    for (kernels::KernelArch arch : {kernels::KernelArch::Scalar, native}) {
+        testing::ScopedKernelArch scoped(arch);
+        const bool scalar = arch == kernels::KernelArch::Scalar;
+        for (int batch : {16, 4}) {
+            for (auto [in_ch, out_ch, side] :
+                 {std::tuple{1, 8, kMnistSide},
+                  std::tuple{8, 16, kMnistSide / 2}}) {
+                SCOPED_TRACE(::testing::Message()
+                             << kernels::kernel_arch_name(arch) << " B="
+                             << batch << " " << in_ch << "->" << out_ch);
+                ConvFixture f(batch, in_ch, out_ch, side, 3, 1, 1);
+                const ConvPass wide = run_batched(f.layer, f.x, f.dy);
+                const ConvPass ref = run_per_sample(f.layer, f.x, f.dy);
+                if (scalar) {
+                    EXPECT_EQ(first_diff(wide.y, ref.y), -1);
+                    EXPECT_EQ(first_diff(wide.dx, ref.dx), -1);
+                    EXPECT_EQ(first_diff(wide.db, ref.db), -1);
+                    expect_rel_close(wide.dw, ref.dw, 1e-5, "dw");
+                } else {
+                    expect_rel_close(wide.y, ref.y, 1e-4, "y");
+                    expect_rel_close(wide.dx, ref.dx, 1e-4, "dx");
+                    expect_rel_close(wide.db, ref.db, 1e-4, "db");
+                    expect_rel_close(wide.dw, ref.dw, 1e-4, "dw");
+                }
+
+                // infer() keeps its own unfold scratch: running it
+                // between forward() and backward() (same batch, other
+                // data) changes no gradient bit.
+                Tensor other(f.x.shape());
+                Rng rng(77);
+                testing::randomize(other, rng, 1.0);
+                const ConvPass mixed =
+                    run_batched(f.layer, f.x, f.dy, &other);
+                EXPECT_EQ(first_diff(mixed.y, wide.y), -1);
+                EXPECT_EQ(first_diff(mixed.dx, wide.dx), -1);
+                EXPECT_EQ(first_diff(mixed.dw, wide.dw), -1);
+                EXPECT_EQ(first_diff(mixed.db, wide.db), -1);
+
+                // infer() runs the same wide convolution as forward().
+                EXPECT_EQ(first_diff(values(f.layer.infer(f.x)), wide.y),
+                          -1);
+            }
+        }
+    }
+}
+
+/**
+ * Grouped and pointwise layers stay on the per-sample path at any
+ * batch: a batch gives exactly the bits of its samples one at a time,
+ * dW included, on every arch.
+ */
+TEST(Conv2D, GroupedAndPointwiseStayPerSample)
+{
+    for (auto [in_ch, out_ch, k, pad, groups] :
+         {std::tuple{8, 8, 3, 1, 8}, std::tuple{6, 6, 3, 1, 2},
+          std::tuple{8, 16, 1, 0, 1}}) {
+        SCOPED_TRACE(::testing::Message() << in_ch << "->" << out_ch
+                                          << " k=" << k << " g=" << groups);
+        ConvFixture f(4, in_ch, out_ch, 6, k, pad, groups);
+        const ConvPass batched = run_batched(f.layer, f.x, f.dy);
+        const ConvPass ref = run_per_sample(f.layer, f.x, f.dy);
+        EXPECT_EQ(first_diff(batched.y, ref.y), -1);
+        EXPECT_EQ(first_diff(batched.dx, ref.dx), -1);
+        EXPECT_EQ(first_diff(batched.dw, ref.dw), -1);
+        EXPECT_EQ(first_diff(batched.db, ref.db), -1);
+    }
+}
+
 TEST(ReLU, ClampsNegatives)
 {
     ReLU r;
@@ -98,6 +296,50 @@ TEST(MaxPool2D, BackwardRoutesToArgmax)
     EXPECT_FLOAT_EQ(dx[0], 0.0f);
     EXPECT_FLOAT_EQ(dx[1], 2.0f);
     EXPECT_FLOAT_EQ(dx[2], 0.0f);
+}
+
+/** Ties go to the first element in (ky, kx) scan order. */
+TEST(MaxPool2D, TiesPickFirstInScanOrder)
+{
+    MaxPool2D p(2);
+    Tensor x({1, 1, 2, 2}, std::vector<float>{1, 5, 5, 5});
+    p.forward(x);
+    Tensor dx = p.backward(Tensor({1, 1, 1, 1}, std::vector<float>{1.0f}));
+    EXPECT_EQ(values(dx), (std::vector<float>{0, 1, 0, 0}));
+}
+
+/**
+ * A window with no value above -inf (all -inf or NaN) routes its
+ * gradient to its own first element — never to element 0 of the whole
+ * tensor (sample 0, channel 0). Checked on the unrolled 2x2 path and
+ * on the generic one.
+ */
+TEST(MaxPool2D, DegenerateWindowRoutesInsideItself)
+{
+    const float ninf = -std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    for (float fill : {ninf, nan}) {
+        for (int k : {2, 3}) {
+            SCOPED_TRACE(::testing::Message() << "k=" << k << " fill="
+                                              << fill);
+            MaxPool2D p(k);
+            // Sample 0 is ordinary; sample 1's only window is all fill.
+            Tensor x({2, 1, k, k});
+            for (int i = 0; i < k * k; ++i) {
+                x[static_cast<size_t>(i)] = static_cast<float>(i);
+                x[static_cast<size_t>(k * k + i)] = fill;
+            }
+            Tensor y = p.forward(x);
+            EXPECT_EQ(y[0], static_cast<float>(k * k - 1));
+            EXPECT_EQ(y[1], ninf);
+            Tensor dx =
+                p.backward(Tensor({2, 1, 1, 1}, std::vector<float>{1, 2}));
+            std::vector<float> want(static_cast<size_t>(2 * k * k), 0.0f);
+            want[static_cast<size_t>(k * k - 1)] = 1.0f;  // Sample 0 max.
+            want[static_cast<size_t>(k * k)] = 2.0f;  // Sample 1, first.
+            EXPECT_EQ(values(dx), want);
+        }
+    }
 }
 
 TEST(GlobalAvgPool, Averages)
