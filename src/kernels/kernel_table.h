@@ -81,16 +81,16 @@ struct KernelTable
     // the gate kernels share the same Tolerance class; per-variant
     // bitwise determinism (Sync == SemiAsync(S=0)) is unaffected.
     void (*lstm_gate_forward)(int batch, int hidden, float *z,
-                              const float *cprev, float *c, float *h,
-                              int h_stride) = nullptr;
+                              const float *cprev, float *c,
+                              float *h) = nullptr;
     void (*lstm_gate_backward)(int batch, int hidden, const float *z,
                                const float *cprev, const float *c,
                                const float *dh, const float *dc, float *dz,
                                float *dc_prev) = nullptr;
     // Inference-only fused gate update (activated z is scratch).
     void (*lstm_gate_infer)(int batch, int hidden, float *z,
-                            const float *cprev, float *c, float *h,
-                            int h_stride) = nullptr;
+                            const float *cprev, float *c,
+                            float *h) = nullptr;
 
     // Push-delta codec family (update compression): bit-identical
     // across variants — max is exact, quantize/dequantize and fp16

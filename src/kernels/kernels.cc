@@ -327,19 +327,20 @@ scalar_sigmoidf(float x)
 }
 
 /**
- * The exact fused gate update. Shared by lstm_gate_forward (training:
- * arch-independent by contract) and the scalar lstm_gate_infer entry.
+ * The exact libm fused gate update: the scalar table's lstm_gate_forward
+ * and lstm_gate_infer entries (the AVX2 and AVX-512 tables override
+ * both with their polynomial-exp versions).
  */
 void
 scalar_lstm_gate(int batch, int hidden, float *z, const float *cprev,
-                 float *c, float *h, int h_stride)
+                 float *c, float *h)
 {
     const int h4 = 4 * hidden;
     for (int n = 0; n < batch; ++n) {
         float *zrow = z + static_cast<size_t>(n) * h4;
         const float *cp = cprev + static_cast<size_t>(n) * hidden;
         float *cn = c + static_cast<size_t>(n) * hidden;
-        float *hn = h + static_cast<size_t>(n) * h_stride;
+        float *hn = h + static_cast<size_t>(n) * hidden;
         for (int j = 0; j < hidden; ++j) {
             float &zi = zrow[j];
             float &zf = zrow[hidden + j];
@@ -729,6 +730,12 @@ current_gemm_path()
     return gemm_path_slot().load(std::memory_order_relaxed);
 }
 
+bool
+gemm_packs(int m, int n, int k)
+{
+    return use_packed_path(active(), m, n, k);
+}
+
 void
 gemm(int m, int n, int k, const float *a, int lda, const float *b, int ldb,
      float *c, int ldc, bool accumulate)
@@ -1062,18 +1069,16 @@ apply_step_f64(size_t n, float *w, double tau, const double *dir)
 
 void
 lstm_gate_forward(int batch, int hidden, float *z, const float *cprev,
-                  float *c, float *h, int h_stride)
+                  float *c, float *h)
 {
-    pick(&KernelTable::lstm_gate_forward)(batch, hidden, z, cprev, c, h,
-                                          h_stride);
+    pick(&KernelTable::lstm_gate_forward)(batch, hidden, z, cprev, c, h);
 }
 
 void
 lstm_gate_infer(int batch, int hidden, float *z, const float *cprev,
-                float *c, float *h, int h_stride)
+                float *c, float *h)
 {
-    pick(&KernelTable::lstm_gate_infer)(batch, hidden, z, cprev, c, h,
-                                        h_stride);
+    pick(&KernelTable::lstm_gate_infer)(batch, hidden, z, cprev, c, h);
 }
 
 void

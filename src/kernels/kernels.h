@@ -78,8 +78,15 @@ GemmPath set_gemm_path(GemmPath path);
 /** The path policy gemm() consults right now. */
 GemmPath current_gemm_path();
 
+/**
+ * Whether gemm() of this shape takes the packed-panel path. A call site
+ * repeating the shape on a constant operand prepacks it exactly when
+ * this holds: no per-call packing, and the same kernel and bits.
+ */
+bool gemm_packs(int m, int n, int k);
+
 // ------------------------------------------- prepacked GEMM operands
-// Weight-stationary call sites (LSTM steps share one W across all
+// Weight-stationary call sites (LSTM steps share one Wh across all
 // timesteps, conv layers share one W across the batch) pack the
 // constant operand once and reuse the panels across every GEMM call.
 // The panels are laid out for the arch selected at pack() time; the
@@ -215,8 +222,7 @@ void fp16_decode(size_t n, const uint16_t *h, float *y);
  * Indices of the k largest-magnitude elements of x, written to idx in
  * ascending index order. Ties break toward the lower index, so the
  * selection is a pure function of the input — arch-independent by
- * construction (comparison-only, no float rounding), like the training
- * gate kernels. Requires k <= n.
+ * construction (comparison-only, no float rounding). Requires k <= n.
  */
 void topk_select(size_t n, const float *x, size_t k, int32_t *idx);
 
@@ -248,11 +254,10 @@ void apply_step_f64(size_t n, float *w, double tau, const double *dir);
 
 /**
  * Forward cell update: activate z in place, write the new cell state
- * into c and the hidden state into h (row stride @p h_stride supports
- * writing straight into the next timestep's packed [x|h] buffer).
+ * into c and the hidden state into h (both {batch, hidden}).
  */
 void lstm_gate_forward(int batch, int hidden, float *z, const float *cprev,
-                       float *c, float *h, int h_stride);
+                       float *c, float *h);
 
 /**
  * Backward cell update from the post-activation gates: fills dz
@@ -267,7 +272,7 @@ void lstm_gate_backward(int batch, int hidden, const float *z,
  * the activated z block is scratch).
  */
 void lstm_gate_infer(int batch, int hidden, float *z, const float *cprev,
-                     float *c, float *h, int h_stride);
+                     float *c, float *h);
 
 // --------------------------------------------------- im2col / col2im
 // Column buffer layout: col {channels * k * k, oh * ow}, row index

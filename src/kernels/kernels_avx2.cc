@@ -760,7 +760,7 @@ tanh256(__m256 x)
 
 void
 avx2_lstm_gate_infer(int batch, int hidden, float *z, const float *cprev,
-                     float *c, float *h, int h_stride)
+                     float *c, float *h)
 {
     const int h4 = 4 * hidden;
     const int vec_end = hidden - hidden % 8;
@@ -768,7 +768,7 @@ avx2_lstm_gate_infer(int batch, int hidden, float *z, const float *cprev,
         float *zrow = z + static_cast<size_t>(n) * h4;
         const float *cp = cprev + static_cast<size_t>(n) * hidden;
         float *cn = c + static_cast<size_t>(n) * hidden;
-        float *hn = h + static_cast<size_t>(n) * h_stride;
+        float *hn = h + static_cast<size_t>(n) * hidden;
         int j = 0;
         for (; j < vec_end; j += 8) {
             const __m256 zi = sigmoid256(_mm256_loadu_ps(zrow + j));
@@ -807,7 +807,7 @@ avx2_lstm_gate_infer(int batch, int hidden, float *z, const float *cprev,
  */
 void
 avx2_lstm_gate_forward(int batch, int hidden, float *z, const float *cprev,
-                       float *c, float *h, int h_stride)
+                       float *c, float *h)
 {
     const int h4 = 4 * hidden;
     const int vec_end = hidden - hidden % 8;
@@ -815,7 +815,7 @@ avx2_lstm_gate_forward(int batch, int hidden, float *z, const float *cprev,
         float *zrow = z + static_cast<size_t>(n) * h4;
         const float *cp = cprev + static_cast<size_t>(n) * hidden;
         float *cn = c + static_cast<size_t>(n) * hidden;
-        float *hn = h + static_cast<size_t>(n) * h_stride;
+        float *hn = h + static_cast<size_t>(n) * hidden;
         int j = 0;
         for (; j < vec_end; j += 8) {
             const __m256 zi = sigmoid256(_mm256_loadu_ps(zrow + j));

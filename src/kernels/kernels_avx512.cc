@@ -160,7 +160,7 @@ tanh512(__m512 x)
 
 void
 avx512_lstm_gate(int batch, int hidden, float *z, const float *cprev,
-                 float *c, float *h, int h_stride)
+                 float *c, float *h)
 {
     const int h4 = 4 * hidden;
     const int vec_end = hidden - hidden % 16;
@@ -168,7 +168,7 @@ avx512_lstm_gate(int batch, int hidden, float *z, const float *cprev,
         float *zrow = z + static_cast<size_t>(n) * h4;
         const float *cp = cprev + static_cast<size_t>(n) * hidden;
         float *cn = c + static_cast<size_t>(n) * hidden;
-        float *hn = h + static_cast<size_t>(n) * h_stride;
+        float *hn = h + static_cast<size_t>(n) * hidden;
         int j = 0;
         for (; j < vec_end; j += 16) {
             const __m512 zi = sigmoid512(_mm512_loadu_ps(zrow + j));

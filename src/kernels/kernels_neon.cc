@@ -527,7 +527,7 @@ tanh_neon(float32x4_t x)
 
 void
 neon_lstm_gate(int batch, int hidden, float *z, const float *cprev,
-               float *c, float *h, int h_stride)
+               float *c, float *h)
 {
     const int h4 = 4 * hidden;
     const int vec_end = hidden - hidden % 4;
@@ -535,7 +535,7 @@ neon_lstm_gate(int batch, int hidden, float *z, const float *cprev,
         float *zrow = z + static_cast<size_t>(n) * h4;
         const float *cp = cprev + static_cast<size_t>(n) * hidden;
         float *cn = c + static_cast<size_t>(n) * hidden;
-        float *hn = h + static_cast<size_t>(n) * h_stride;
+        float *hn = h + static_cast<size_t>(n) * hidden;
         int j = 0;
         for (; j < vec_end; j += 4) {
             const float32x4_t zi = sigmoid_neon(vld1q_f32(zrow + j));

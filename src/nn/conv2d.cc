@@ -147,6 +147,20 @@ Conv2D::convolve(const Tensor &xin)
 Tensor
 Conv2D::backward(const Tensor &grad_out)
 {
+    Tensor dx(x_cache_.shape());
+    backprop(grad_out, &dx);
+    return dx;
+}
+
+void
+Conv2D::backward_params(const Tensor &grad_out)
+{
+    backprop(grad_out, nullptr);
+}
+
+void
+Conv2D::backprop(const Tensor &grad_out, Tensor *dx)
+{
     const Tensor &x = x_cache_;
     const int batch = x.dim(0), ih = x.dim(2), iw = x.dim(3);
     const int oh = out_size(ih), ow = out_size(iw);
@@ -155,11 +169,10 @@ Conv2D::backward(const Tensor &grad_out)
     const int ospatial = oh * ow;
     assert(grad_out.dim(1) == out_ch_ && grad_out.dim(2) == oh &&
            grad_out.dim(3) == ow);
-    Tensor dx({batch, in_ch_, ih, iw});
 
     if (wide(x)) {
         backward_wide(grad_out, dx);
-        return dx;
+        return;
     }
 
     if (!pointwise()) {
@@ -171,7 +184,7 @@ Conv2D::backward(const Tensor &grad_out)
     // the transposed panels once per backward call. (The dW gemm_nt has
     // no batch-constant operand — both dy and col change per sample.)
     kernels::PackedGemm wpt;
-    if (groups_ == 1)
+    if (groups_ == 1 && dx != nullptr)
         wpt = kernels::pack_gemm_a(patch, ocg, w_.data(), patch,
                                    /*a_transposed=*/true);
 
@@ -200,10 +213,12 @@ Conv2D::backward(const Tensor &grad_out)
             float *dwg = dw_.data() + static_cast<size_t>(g) * ocg * patch;
             kernels::gemm_nt(ocg, patch, ospatial, dyg, ospatial, col,
                              ospatial, dwg, patch, /*accumulate=*/true);
+            if (dx == nullptr)
+                continue;
             // dcol = W_g^T x dy_g, folded back into dx.
             const float *wg =
                 w_.data() + static_cast<size_t>(g) * ocg * patch;
-            float *dxg = dx.data() +
+            float *dxg = dx->data() +
                 (static_cast<size_t>(n) * in_ch_ + g * icg) * ih * iw;
             float *dcol = pointwise() ? dxg : dcol_.data();
             if (groups_ == 1)
@@ -217,13 +232,13 @@ Conv2D::backward(const Tensor &grad_out)
                                     pad_, dxg, ospatial);
         }
     }
-    return dx;
 }
 
 void
-Conv2D::backward_wide(const Tensor &grad_out, Tensor &dx)
+Conv2D::backward_wide(const Tensor &grad_out, Tensor *dx)
 {
-    const int batch = dx.dim(0), ih = dx.dim(2), iw = dx.dim(3);
+    const int batch = x_cache_.dim(0), ih = x_cache_.dim(2),
+              iw = x_cache_.dim(3);
     const int patch = in_ch_ * k_ * k_;
     const size_t ospatial = static_cast<size_t>(grad_out.dim(2)) *
         grad_out.dim(3);
@@ -264,6 +279,8 @@ Conv2D::backward_wide(const Tensor &grad_out, Tensor &dx)
             dwrow[r] += dwt_[static_cast<size_t>(r) * out_ch_ + oc];
     }
 
+    if (dx == nullptr)
+        return;
     // dcol = W^T x dy, folded back sample by sample.
     dcol_.resize(static_cast<size_t>(patch) * cols);
     const kernels::PackedGemm wpt = kernels::pack_gemm_a(
@@ -271,7 +288,7 @@ Conv2D::backward_wide(const Tensor &grad_out, Tensor &dx)
     kernels::gemm_packed_a(wpt, ld, outw_.data(), ld, dcol_.data(), ld);
     for (int n = 0; n < batch; ++n)
         kernels::col2im_add(dcol_.data() + n * ospatial, in_ch_, ih, iw, k_,
-                            stride_, pad_, dx.data() + n * in_plane, cols);
+                            stride_, pad_, dx->data() + n * in_plane, cols);
 }
 
 std::vector<int>

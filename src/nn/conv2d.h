@@ -24,6 +24,9 @@
  * multiply the input directly with W packed once per batch. Their
  * backward recomputes the column buffer (cheaper than caching the k^2x
  * blow-up) for dW and folds the W^T dy product back with col2im.
+ *
+ * As a model's first layer (backward_params()) either path skips the
+ * input gradient: no dcol GEMM and no col2im, the same dW and db bits.
  */
 #ifndef AUTOFL_NN_CONV2D_H
 #define AUTOFL_NN_CONV2D_H
@@ -51,6 +54,7 @@ class Conv2D : public Layer
     Tensor forward(Tensor x) override;
     Tensor infer(Tensor x) override;
     Tensor backward(const Tensor &grad_out) override;
+    void backward_params(const Tensor &grad_out) override;
     std::vector<Tensor *> params() override { return {&w_, &b_}; }
     std::vector<Tensor *> grads() override { return {&dw_, &db_}; }
     void init_weights(Rng &rng) override;
@@ -82,8 +86,14 @@ class Conv2D : public Layer
      */
     Tensor convolve_wide(const Tensor &xin, AlignedFloatVec &col);
 
-    /** Batch-wide backward on forward()'s cached columns; fills @p dx. */
-    void backward_wide(const Tensor &grad_out, Tensor &dx);
+    /**
+     * Accumulates dW and db; fills @p dx unless it is null, in which
+     * case the dcol GEMM and col2im are skipped.
+     */
+    void backprop(const Tensor &grad_out, Tensor *dx);
+
+    /** Batch-wide backprop() on forward()'s cached columns. */
+    void backward_wide(const Tensor &grad_out, Tensor *dx);
 
     /** Whether an input of this shape takes the batch-wide path. */
     bool wide(const Tensor &x) const

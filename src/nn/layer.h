@@ -62,6 +62,18 @@ class Layer
      */
     virtual Tensor backward(const Tensor &grad_out) = 0;
 
+    /**
+     * backward() for a caller that does not read the input gradient
+     * (the first layer of a model): accumulates bit-identical parameter
+     * gradients. Layers whose input gradient costs real work override
+     * it to skip that work.
+     */
+    virtual void
+    backward_params(const Tensor &grad_out)
+    {
+        backward(grad_out);
+    }
+
     /** Trainable parameter tensors (possibly empty). */
     virtual std::vector<Tensor *> params() { return {}; }
 

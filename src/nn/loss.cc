@@ -15,6 +15,7 @@ SoftmaxCrossEntropy::forward(const Tensor &logits,
     probs_ = Tensor({batch, classes});
     labels_ = labels;
     correct_ = 0;
+    exps_.resize(static_cast<size_t>(classes));
     double loss = 0.0;
     for (int n = 0; n < batch; ++n) {
         float mx = logits.at2(n, 0);
@@ -28,13 +29,15 @@ SoftmaxCrossEntropy::forward(const Tensor &logits,
         if (arg == labels[static_cast<size_t>(n)])
             ++correct_;
         double denom = 0.0;
-        for (int c = 0; c < classes; ++c)
-            denom += std::exp(static_cast<double>(logits.at2(n, c) - mx));
-        const double log_denom = std::log(denom);
         for (int c = 0; c < classes; ++c) {
-            probs_.at2(n, c) = static_cast<float>(
-                std::exp(static_cast<double>(logits.at2(n, c) - mx)) / denom);
+            exps_[static_cast<size_t>(c)] =
+                std::exp(static_cast<double>(logits.at2(n, c) - mx));
+            denom += exps_[static_cast<size_t>(c)];
         }
+        const double log_denom = std::log(denom);
+        for (int c = 0; c < classes; ++c)
+            probs_.at2(n, c) =
+                static_cast<float>(exps_[static_cast<size_t>(c)] / denom);
         const int y = labels[static_cast<size_t>(n)];
         loss -= static_cast<double>(logits.at2(n, y) - mx) - log_denom;
     }

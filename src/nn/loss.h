@@ -37,6 +37,7 @@ class SoftmaxCrossEntropy
   private:
     Tensor probs_;
     std::vector<int> labels_;
+    std::vector<double> exps_;  ///< One row's exp(logit - max) scratch.
     int correct_ = 0;
 };
 

@@ -1,7 +1,7 @@
 #include "lstm.h"
 
+#include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <sstream>
 
 #include "kernels/kernels.h"
@@ -31,229 +31,137 @@ Lstm::init_weights(Rng &rng)
         b_[static_cast<size_t>(j)] = 1.0f;
 }
 
-void
-Lstm::pack_weights()
-{
-    const int h4 = 4 * hidden_;
-    if (wcat_.empty())
-        wcat_ = Tensor({in_ + hidden_, h4});
-    std::memcpy(wcat_.data(), wx_.data(), sizeof(float) * wx_.size());
-    std::memcpy(wcat_.data() + wx_.size(), wh_.data(),
-                sizeof(float) * wh_.size());
-}
-
 Tensor
 Lstm::forward(Tensor x)
 {
-    assert(x.rank() == 3 && x.dim(2) == in_);
-    const int time = x.dim(0), batch = x.dim(1);
-    const int h4 = 4 * hidden_;
-    const int xh = in_ + hidden_;
-    pack_weights();
-
-    xhs_.assign(static_cast<size_t>(time), Tensor({batch, xh}));
-    gates_.assign(static_cast<size_t>(time), Tensor());
-    cs_.assign(static_cast<size_t>(time) + 1, Tensor({batch, hidden_}));
-
-    // W is shared by every timestep: pack its panels once and reuse
-    // them across the whole sequence. infer() packs identically, so
-    // the two stay on the same GEMM path (and bit-identical).
-    const kernels::PackedGemm wp =
-        kernels::pack_gemm_b(xh, h4, wcat_.data(), h4);
-
-    Tensor out_seq;
-    if (return_sequences_)
-        out_seq = Tensor({time, batch, hidden_});
-    else
-        h_last_ = Tensor({batch, hidden_});
-
-    for (int t = 0; t < time; ++t) {
-        // Pack [x_t | h_{t-1}]: the x slice is copied in here; the h
-        // part was written by the previous step's gate kernel (zeros
-        // from construction at t = 0).
-        Tensor &xht = xhs_[static_cast<size_t>(t)];
-        const float *xt = x.data() + static_cast<size_t>(t) * batch * in_;
-        for (int n = 0; n < batch; ++n)
-            std::memcpy(xht.data() + static_cast<size_t>(n) * xh,
-                        xt + static_cast<size_t>(n) * in_,
-                        sizeof(float) * static_cast<size_t>(in_));
-
-        // One fused GEMM: all four gates, input + recurrent projections.
-        Tensor z({batch, h4});
-        kernels::gemm_packed_b(batch, xht.data(), xh, wp, z.data(), h4);
-        kernels::add_bias_rows(batch, h4, b_.data(), z.data());
-
-        // Fused gate activation + cell update: [i | f | g | o] in
-        // place; h lands either in the next step's packed buffer, the
-        // sequence output, or the final-h tensor.
-        const bool last = t + 1 == time;
-        float *h_dst;
-        int h_stride;
-        if (return_sequences_) {
-            h_dst = out_seq.data() +
-                static_cast<size_t>(t) * batch * hidden_;
-            h_stride = hidden_;
-        } else if (last) {
-            h_dst = h_last_.data();
-            h_stride = hidden_;
-        } else {
-            h_dst = xhs_[static_cast<size_t>(t) + 1].data() + in_;
-            h_stride = xh;
-        }
-        kernels::lstm_gate_forward(batch, hidden_, z.data(),
-                                   cs_[static_cast<size_t>(t)].data(),
-                                   cs_[static_cast<size_t>(t) + 1].data(),
-                                   h_dst, h_stride);
-        if (return_sequences_ && !last) {
-            // Mirror h into the next step's packed buffer.
-            float *next = xhs_[static_cast<size_t>(t) + 1].data() + in_;
-            for (int n = 0; n < batch; ++n)
-                std::memcpy(next + static_cast<size_t>(n) * xh,
-                            h_dst + static_cast<size_t>(n) * hidden_,
-                            sizeof(float) * static_cast<size_t>(hidden_));
-        }
-        gates_[static_cast<size_t>(t)] = std::move(z);
-    }
-    if (return_sequences_)
-        return out_seq;
-    return h_last_;
+    x_ = std::move(x);
+    return run(x_, train_, /*training=*/true);
 }
 
 Tensor
 Lstm::infer(Tensor x)
 {
+    return run(x, scratch_, /*training=*/false);
+}
+
+Tensor
+Lstm::run(const Tensor &x, Sequence &s, bool training)
+{
     assert(x.rank() == 3 && x.dim(2) == in_);
     const int time = x.dim(0), batch = x.dim(1);
+    const int rows = time * batch;
     const int h4 = 4 * hidden_;
-    const int xh = in_ + hidden_;
-    pack_weights();
+    const size_t zb = static_cast<size_t>(batch) * h4;
+    const size_t hb = static_cast<size_t>(batch) * hidden_;
+    s.z.resize(static_cast<size_t>(rows) * h4);
+    s.c.resize(static_cast<size_t>(rows) * hidden_ + hb);
+    s.h.resize(static_cast<size_t>(rows) * hidden_);
+    std::fill(s.c.begin(), s.c.begin() + hb, 0.0f);
 
-    // Rolling state instead of the per-timestep BPTT caches: one packed
-    // [x_t | h_{t-1}] buffer whose h columns each step overwrites in
-    // place, and a ping-ponged cell-state pair. Same kernels in the
-    // same order as forward(), so the output is bit-identical.
-    Tensor xht({batch, xh});
-    Tensor z({batch, h4});
-    Tensor c_prev({batch, hidden_});
-    Tensor c({batch, hidden_});
-    const kernels::PackedGemm wp =
-        kernels::pack_gemm_b(xh, h4, wcat_.data(), h4);
+    // The input projection of every timestep in one GEMM.
+    kernels::gemm(rows, h4, in_, x.data(), in_, wx_.data(), h4, s.z.data(),
+                  h4);
+    kernels::add_bias_rows(rows, h4, b_.data(), s.z.data());
 
-    Tensor out_seq;
-    Tensor h_last;
-    if (return_sequences_)
-        out_seq = Tensor({time, batch, hidden_});
-    else
-        h_last = Tensor({batch, hidden_});
-
+    // The recurrence: z_t += h_{t-1} Wh, then the fused gate kernel
+    // activates z_t in place and writes c_t and h_t.
+    const auto gate =
+        training ? &kernels::lstm_gate_forward : &kernels::lstm_gate_infer;
+    // When the step GEMM takes the packed path, Wh is packed once here
+    // instead of once per step (same kernel, same bits).
+    const bool pack = kernels::gemm_packs(batch, h4, hidden_);
+    const kernels::PackedGemm whp =
+        pack ? kernels::pack_gemm_b(hidden_, h4, wh_.data(), h4)
+             : kernels::PackedGemm();
     for (int t = 0; t < time; ++t) {
-        const float *xt = x.data() + static_cast<size_t>(t) * batch * in_;
-        for (int n = 0; n < batch; ++n)
-            std::memcpy(xht.data() + static_cast<size_t>(n) * xh,
-                        xt + static_cast<size_t>(n) * in_,
-                        sizeof(float) * static_cast<size_t>(in_));
-
-        kernels::gemm_packed_b(batch, xht.data(), xh, wp, z.data(), h4);
-        kernels::add_bias_rows(batch, h4, b_.data(), z.data());
-
-        const bool last = t + 1 == time;
-        float *h_dst;
-        int h_stride;
-        if (return_sequences_) {
-            h_dst = out_seq.data() +
-                static_cast<size_t>(t) * batch * hidden_;
-            h_stride = hidden_;
-        } else if (last) {
-            h_dst = h_last.data();
-            h_stride = hidden_;
-        } else {
-            h_dst = xht.data() + in_;
-            h_stride = xh;
-        }
-        kernels::lstm_gate_infer(batch, hidden_, z.data(), c_prev.data(),
-                                 c.data(), h_dst, h_stride);
-        if (return_sequences_ && !last) {
-            float *next = xht.data() + in_;
-            for (int n = 0; n < batch; ++n)
-                std::memcpy(next + static_cast<size_t>(n) * xh,
-                            h_dst + static_cast<size_t>(n) * hidden_,
-                            sizeof(float) * static_cast<size_t>(hidden_));
-        }
-        std::swap(c_prev, c);
+        float *zt = s.z.data() + t * zb;
+        float *ht = s.h.data() + t * hb;
+        if (t > 0 && pack)
+            kernels::gemm_packed_b(batch, ht - hb, hidden_, whp, zt, h4,
+                                   /*accumulate=*/true);
+        else if (t > 0)
+            kernels::gemm(batch, h4, hidden_, ht - hb, hidden_, wh_.data(),
+                          h4, zt, h4, /*accumulate=*/true);
+        gate(batch, hidden_, zt, s.c.data() + t * hb,
+             s.c.data() + (t + 1) * hb, ht);
     }
-    if (return_sequences_)
-        return out_seq;
-    return h_last;
+
+    const auto first = return_sequences_ ? s.h.begin() : s.h.end() - hb;
+    return Tensor(return_sequences_ ? std::vector<int>{time, batch, hidden_}
+                                    : std::vector<int>{batch, hidden_},
+                  AlignedFloatVec(first, s.h.end()));
 }
 
 Tensor
 Lstm::backward(const Tensor &grad_out)
 {
-    const int time = static_cast<int>(xhs_.size());
-    assert(time > 0);
-    const int batch = xhs_[0].dim(0);
-    const int h4 = 4 * hidden_;
-    const int xh = in_ + hidden_;
+    Tensor dx(x_.shape());
+    bptt(grad_out, dx.data());
+    return dx;
+}
 
-    Tensor dx({time, batch, in_});
-    Tensor dh({batch, hidden_});
-    Tensor dc({batch, hidden_});
-    Tensor dz({batch, h4});
-    Tensor dxh({batch, xh});
-    Tensor dc_prev({batch, hidden_});
-    // Packed [dWx; dWh] accumulated across timesteps by the GEMM
-    // itself, split back into the parameter gradients at the end.
-    Tensor dwcat({xh, h4});
-    // The dxh GEMM multiplies against W^T every timestep; gather the
-    // transposed panels once for the whole BPTT sweep. (The dwcat
-    // gemm_tn has no constant operand — both sides change per t.)
-    const kernels::PackedGemm wpt =
-        kernels::pack_gemm_b(h4, xh, wcat_.data(), h4, /*b_transposed=*/true);
+void
+Lstm::backward_params(const Tensor &grad_out)
+{
+    bptt(grad_out, nullptr);
+}
+
+void
+Lstm::bptt(const Tensor &grad_out, float *dx)
+{
+    assert(x_.rank() == 3);
+    const int time = x_.dim(0), batch = x_.dim(1);
+    const int rows = time * batch;
+    const int h4 = 4 * hidden_;
+    const size_t zb = static_cast<size_t>(batch) * h4;
+    const size_t hb = static_cast<size_t>(batch) * hidden_;
+    const Sequence &s = train_;
+    dz_.resize(static_cast<size_t>(rows) * h4);
+    dh_.assign(hb, 0.0f);
+    dc_.assign(hb, 0.0f);
+    dc_prev_.resize(hb);
 
     if (!return_sequences_) {
         assert(grad_out.rank() == 2 && grad_out.dim(1) == hidden_);
-        dh = grad_out;
+        std::copy(grad_out.vec().begin(), grad_out.vec().end(), dh_.begin());
     }
 
+    // Only the recurrence runs per step: the gate backward, then
+    // dh_{t-1} = dz_t Wh^T (not needed past t = 0), on Wh^T packed once
+    // when that GEMM takes the packed path.
+    const bool pack = kernels::gemm_packs(batch, hidden_, h4);
+    const kernels::PackedGemm whpt =
+        pack ? kernels::pack_gemm_b(h4, hidden_, wh_.data(), h4,
+                                    /*b_transposed=*/true)
+             : kernels::PackedGemm();
     for (int t = time - 1; t >= 0; --t) {
-        if (return_sequences_) {
-            // Add the per-timestep gradient slice to the recurrent flow.
-            kernels::vadd(dh.size(),
-                          grad_out.data() +
-                              static_cast<size_t>(t) * batch * hidden_,
-                          dh.data());
-        }
-        const Tensor &z = gates_[static_cast<size_t>(t)];
-        kernels::lstm_gate_backward(
-            batch, hidden_, z.data(), cs_[static_cast<size_t>(t)].data(),
-            cs_[static_cast<size_t>(t) + 1].data(), dh.data(), dc.data(),
-            dz.data(), dc_prev.data());
-
-        // Parameter gradients: one fused GEMM accumulates both dWx and
-        // dWh rows; db gets the dz column sums.
-        const Tensor &xht = xhs_[static_cast<size_t>(t)];
-        kernels::gemm_tn(xh, h4, batch, xht.data(), xh, dz.data(), h4,
-                         dwcat.data(), h4, /*accumulate=*/true);
-        kernels::accumulate_rows(batch, h4, dz.data(), db_.data());
-
-        // [dx_t | dh_{t-1}] in one fused GEMM against the packed W.
-        kernels::gemm_packed_b(batch, dz.data(), h4, wpt, dxh.data(), xh);
-        float *dxt = dx.data() + static_cast<size_t>(t) * batch * in_;
-        for (int n = 0; n < batch; ++n) {
-            const float *row = dxh.data() + static_cast<size_t>(n) * xh;
-            std::memcpy(dxt + static_cast<size_t>(n) * in_, row,
-                        sizeof(float) * static_cast<size_t>(in_));
-            std::memcpy(dh.data() + static_cast<size_t>(n) * hidden_,
-                        row + in_,
-                        sizeof(float) * static_cast<size_t>(hidden_));
-        }
-        std::swap(dc, dc_prev);
+        if (return_sequences_)
+            kernels::vadd(hb, grad_out.data() + t * hb, dh_.data());
+        float *dzt = dz_.data() + t * zb;
+        kernels::lstm_gate_backward(batch, hidden_, s.z.data() + t * zb,
+                                    s.c.data() + t * hb,
+                                    s.c.data() + (t + 1) * hb, dh_.data(),
+                                    dc_.data(), dzt, dc_prev_.data());
+        if (t > 0 && pack)
+            kernels::gemm_packed_b(batch, dzt, h4, whpt, dh_.data(), hidden_);
+        else if (t > 0)
+            kernels::gemm_nt(batch, hidden_, h4, dzt, h4, wh_.data(), h4,
+                             dh_.data(), hidden_);
+        std::swap(dc_, dc_prev_);
     }
 
-    // Split the packed weight gradient back into dWx / dWh.
-    kernels::vadd(dwx_.size(), dwcat.data(), dwx_.data());
-    kernels::vadd(dwh_.size(), dwcat.data() + dwx_.size(), dwh_.data());
-    return dx;
+    // Every gradient GEMM reduces over the whole (time, batch) sequence
+    // at once. h_{t-1} pairs with dz_t, so dWh takes rows 1.. of DZ.
+    kernels::gemm_tn(in_, h4, rows, x_.data(), in_, dz_.data(), h4,
+                     dwx_.data(), h4, /*accumulate=*/true);
+    if (time > 1)
+        kernels::gemm_tn(hidden_, h4, rows - batch, s.h.data(), hidden_,
+                         dz_.data() + zb, h4, dwh_.data(), h4,
+                         /*accumulate=*/true);
+    kernels::accumulate_rows(rows, h4, dz_.data(), db_.data());
+    if (dx != nullptr)
+        kernels::gemm_nt(rows, in_, h4, dz_.data(), h4, wx_.data(), h4, dx,
+                         in_);
 }
 
 std::vector<int>

@@ -7,13 +7,20 @@
  * stacked LSTMs use return_sequences to pass the full {time, batch, hidden}
  * activation tensor to the next recurrent layer).
  *
- * Each timestep packs [x_t | h_{t-1}] into one {batch, in + hidden} row
- * block and runs a single fused GEMM against the stacked weight matrix
- * [Wx; Wh] {in + hidden, 4 * hidden} — all four gates, both input and
- * recurrent projections, one kernel call — followed by the fused gate
- * activation/cell-update kernel. Backward mirrors it: one gemm_tn per
- * step accumulates the packed weight gradient and one gemm_nt produces
- * [dx_t | dh_{t-1}] together.
+ * Only the true recurrence runs per timestep (the restructuring of
+ * Appleyard, Kocisky & Blunsom, 2016). The input is already one
+ * contiguous {time * batch, in} matrix, so its projection for every
+ * timestep is one GEMM, Z = X Wx + b; each step then adds h_{t-1} Wh
+ * (nothing at t = 0) and runs the fused gate kernel. forward() and
+ * infer() share that routine and differ only in the gate kernel and in
+ * which buffers they write, so an infer() between forward() and
+ * backward() leaves the backward caches alone.
+ *
+ * Backward keeps only the gate backward and dh_{t-1} = dz_t Wh^T inside
+ * the loop. The weight gradients then reduce over (time, batch) in one
+ * GEMM each: dWx += X^T DZ, dWh += H_prev^T DZ, db += column sums of
+ * DZ, and dX = DZ Wx^T is one GEMM too — skipped entirely when the
+ * layer is the first of a model (backward_params()).
  */
 #ifndef AUTOFL_NN_LSTM_H
 #define AUTOFL_NN_LSTM_H
@@ -37,6 +44,7 @@ class Lstm : public Layer
     Tensor forward(Tensor x) override;
     Tensor infer(Tensor x) override;
     Tensor backward(const Tensor &grad_out) override;
+    void backward_params(const Tensor &grad_out) override;
     std::vector<Tensor *> params() override { return {&wx_, &wh_, &b_}; }
     std::vector<Tensor *> grads() override { return {&dwx_, &dwh_, &db_}; }
     void init_weights(Rng &rng) override;
@@ -46,6 +54,14 @@ class Lstm : public Layer
     std::string name() const override;
 
   private:
+    /** One run's states as flat row blocks, one block per timestep. */
+    struct Sequence
+    {
+        AlignedFloatVec z;  ///< Post-activation gates {time * batch, 4H}.
+        AlignedFloatVec c;  ///< Cells {(time + 1) * batch, H}; block 0 = 0.
+        AlignedFloatVec h;  ///< Hidden states {time * batch, H}.
+    };
+
     int in_, hidden_;
     bool return_sequences_;
     Tensor wx_;  ///< {in, 4*hidden}
@@ -53,18 +69,17 @@ class Lstm : public Layer
     Tensor b_;   ///< {4*hidden}
     Tensor dwx_, dwh_, db_;
 
-    // Packed [Wx; Wh] {in + hidden, 4*hidden}, rebuilt per forward from
-    // the (externally updated) split parameter tensors.
-    Tensor wcat_;
-    Tensor h_last_;  ///< Final hidden state (the non-sequence output).
+    Tensor x_;          ///< forward()'s moved-in input, for dWx.
+    Sequence train_;    ///< forward()'s states, for backward().
+    Sequence scratch_;  ///< infer()'s states.
+    AlignedFloatVec dz_;  ///< Backward's gate gradients {time * batch, 4H}.
+    AlignedFloatVec dh_, dc_, dc_prev_;  ///< Backward's {batch, H} carries.
 
-    // Forward caches for BPTT (one entry per timestep).
-    std::vector<Tensor> xhs_;    ///< packed [x_t | h_{t-1}] {batch, in+hidden}
-    std::vector<Tensor> cs_;     ///< cell states; cs_[0] is c_{-1} (zeros)
-    std::vector<Tensor> gates_;  ///< post-activation gates {batch, 4*hidden}
+    /** The recurrence of forward() and infer(), run into @p s. */
+    Tensor run(const Tensor &x, Sequence &s, bool training);
 
-    /** Rebuild wcat_ from wx_/wh_ (weights change between batches). */
-    void pack_weights();
+    /** BPTT on forward()'s caches; writes dX into @p dx unless null. */
+    void bptt(const Tensor &grad_out, float *dx);
 };
 
 } // namespace autofl

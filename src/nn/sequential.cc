@@ -34,13 +34,18 @@ Sequential::infer(Tensor x)
     return x;
 }
 
-Tensor
+void
 Sequential::backward(const Tensor &grad_out)
 {
-    Tensor g = grad_out;
-    for (auto it = layers_.rbegin(); it != layers_.rend(); ++it)
-        g = (*it)->backward(g);
-    return g;
+    if (layers_.empty())
+        return;
+    const Tensor *g = &grad_out;
+    Tensor dx;
+    for (size_t i = layers_.size() - 1; i > 0; --i) {
+        dx = layers_[i]->backward(*g);
+        g = &dx;
+    }
+    layers_[0]->backward_params(*g);
 }
 
 void

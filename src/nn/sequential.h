@@ -70,8 +70,12 @@ class Sequential
      */
     Tensor infer(Tensor x);
 
-    /** Backward through all layers; returns input gradient. */
-    Tensor backward(const Tensor &grad_out);
+    /**
+     * Backward through all layers, accumulating parameter gradients.
+     * The first layer runs backward_params(): nothing reads the
+     * model's input gradient, so it is never computed.
+     */
+    void backward(const Tensor &grad_out);
 
     /** Zero all parameter gradients. */
     void zero_grad();

@@ -399,6 +399,217 @@ TEST(Lstm, ZeroInputGivesBoundedOutput)
     }
 }
 
+/** Everything one LSTM forward/backward produces, flattened. */
+struct LstmPass
+{
+    std::vector<float> y, dx, dwx, dwh, db;
+};
+
+/**
+ * Test-only reference: the per-timestep fused algorithm the layer ran
+ * before the sequence-wide restructure. Each step packs [x_t | h_{t-1}]
+ * and runs one GEMM against [Wx; Wh] plus the bias, then the fused
+ * gate kernel; backward accumulates the packed weight gradient and db
+ * step by step and gets [dx_t | dh_{t-1}] from one GEMM against W^T.
+ */
+LstmPass
+reference_lstm(Lstm &layer, bool seq, const Tensor &x, const Tensor &dy)
+{
+    const Tensor &wx = *layer.params()[0];
+    const Tensor &wh = *layer.params()[1];
+    const Tensor &b = *layer.params()[2];
+    const int time = x.dim(0), batch = x.dim(1), in = x.dim(2);
+    const int hidden = wh.dim(0), h4 = 4 * hidden, xh = in + hidden;
+    const size_t hb = static_cast<size_t>(batch) * hidden;
+    std::vector<float> w(values(wx));
+    w.insert(w.end(), wh.vec().begin(), wh.vec().end());
+
+    std::vector<std::vector<float>> xhs, zs, cs(
+        static_cast<size_t>(time) + 1, std::vector<float>(hb));
+    std::vector<float> hs(static_cast<size_t>(time) * hb);
+    for (int t = 0; t < time; ++t) {
+        std::vector<float> xht(static_cast<size_t>(batch) * xh);
+        std::vector<float> z(static_cast<size_t>(batch) * h4);
+        for (int n = 0; n < batch; ++n) {
+            std::copy_n(x.data() + (static_cast<size_t>(t) * batch + n) * in,
+                        in, xht.begin() + n * xh);
+            if (t > 0)
+                std::copy_n(hs.begin() + (t - 1) * hb + n * hidden, hidden,
+                            xht.begin() + n * xh + in);
+        }
+        kernels::gemm(batch, h4, xh, xht.data(), xh, w.data(), h4, z.data(),
+                      h4);
+        kernels::add_bias_rows(batch, h4, b.data(), z.data());
+        kernels::lstm_gate_forward(batch, hidden, z.data(), cs[t].data(),
+                                   cs[t + 1].data(), hs.data() + t * hb);
+        xhs.push_back(std::move(xht));
+        zs.push_back(std::move(z));
+    }
+
+    LstmPass r;
+    r.y = seq ? hs : std::vector<float>(hs.end() - hb, hs.end());
+    std::vector<float> dwcat(w.size()), dh(hb), dc(hb), dcp(hb);
+    std::vector<float> dz(static_cast<size_t>(batch) * h4);
+    std::vector<float> dxh(static_cast<size_t>(batch) * xh);
+    r.db.assign(static_cast<size_t>(h4), 0.0f);
+    r.dx.assign(x.size(), 0.0f);
+    if (!seq)
+        dh = values(dy);
+    for (int t = time - 1; t >= 0; --t) {
+        if (seq)
+            kernels::vadd(hb, dy.data() + t * hb, dh.data());
+        kernels::lstm_gate_backward(batch, hidden, zs[t].data(),
+                                    cs[t].data(), cs[t + 1].data(), dh.data(),
+                                    dc.data(), dz.data(), dcp.data());
+        kernels::gemm_tn(xh, h4, batch, xhs[t].data(), xh, dz.data(), h4,
+                         dwcat.data(), h4, /*accumulate=*/true);
+        kernels::accumulate_rows(batch, h4, dz.data(), r.db.data());
+        kernels::gemm_nt(batch, xh, h4, dz.data(), h4, w.data(), h4,
+                         dxh.data(), xh);
+        for (int n = 0; n < batch; ++n) {
+            std::copy_n(dxh.begin() + n * xh, in,
+                        r.dx.begin() +
+                            (static_cast<size_t>(t) * batch + n) * in);
+            std::copy_n(dxh.begin() + n * xh + in, hidden,
+                        dh.begin() + n * hidden);
+        }
+        std::swap(dc, dcp);
+    }
+    r.dwx.assign(dwcat.begin(), dwcat.begin() + wx.size());
+    r.dwh.assign(dwcat.begin() + wx.size(), dwcat.end());
+    return r;
+}
+
+/** One forward/backward of @p layer; @p between is inferred in between. */
+LstmPass
+run_lstm(Lstm &layer, const Tensor &x, const Tensor &dy,
+         const Tensor *between = nullptr)
+{
+    LstmPass r;
+    r.y = values(layer.forward(x));
+    if (between != nullptr)
+        layer.infer(*between);
+    r.dx = values(layer.backward(dy));
+    r.dwx = values(*layer.grads()[0]);
+    r.dwh = values(*layer.grads()[1]);
+    r.db = values(*layer.grads()[2]);
+    return r;
+}
+
+struct LstmShape
+{
+    int time, batch, in, hidden;
+    bool seq;
+};
+
+/** The model's two layers at B = 2 and 16, plus T = 1 and B = 1. */
+const LstmShape kLstmShapes[] = {
+    {kTextSeqLen, 2, kTextVocab, 48, true},
+    {kTextSeqLen, 2, 48, 48, false},
+    {kTextSeqLen, 16, kTextVocab, 48, true},
+    {kTextSeqLen, 16, 48, 48, false},
+    {kTextSeqLen, 1, 48, 48, false},
+    {1, 4, kTextVocab, 48, true},
+    {1, 1, 48, 48, false},
+};
+
+/** Random layer (non-zero biases), input and upstream gradient. */
+struct LstmFixture
+{
+    Lstm layer;
+    Tensor x, dy;
+
+    explicit LstmFixture(const LstmShape &s)
+        : layer(s.in, s.hidden, s.seq), x({s.time, s.batch, s.in})
+    {
+        Rng rng(static_cast<uint64_t>(s.time * 97 + s.batch * 13 + s.in));
+        layer.init_weights(rng);
+        testing::randomize(*layer.params()[2], rng);
+        testing::randomize(x, rng, 1.0);
+        dy = Tensor(layer.output_shape(x.shape()));
+        testing::randomize(dy, rng, 1.0);
+    }
+};
+
+/**
+ * The sequence-wide layer against the per-step reference: the same
+ * math in another summation order — z as (x Wx + b) + h Wh, dW and db
+ * reduced over (time, batch) at once — so within 1e-5 norm-wise on
+ * the scalar arch and 1e-4 on the native one. With T = 1 there is no
+ * h_{t-1}, and dWh keeps exactly the bits it had.
+ */
+TEST(Lstm, SequenceWideMatchesPerStepReference)
+{
+    const kernels::KernelArch native = kernels::current_kernel_arch();
+    for (kernels::KernelArch arch : {kernels::KernelArch::Scalar, native}) {
+        testing::ScopedKernelArch scoped(arch);
+        const double tol = arch == kernels::KernelArch::Scalar ? 1e-5 : 1e-4;
+        for (const LstmShape &s : kLstmShapes) {
+            SCOPED_TRACE(::testing::Message()
+                         << kernels::kernel_arch_name(arch) << " T="
+                         << s.time << " B=" << s.batch << " " << s.in
+                         << "->" << s.hidden << (s.seq ? " seq" : ""));
+            LstmFixture f(s);
+            const LstmPass ref = reference_lstm(f.layer, s.seq, f.x, f.dy);
+            f.layer.zero_grad();
+            Tensor &dwh = *f.layer.grads()[1];
+            if (s.time == 1)
+                dwh.fill(0.25f);
+            const LstmPass got = run_lstm(f.layer, f.x, f.dy);
+            expect_rel_close(got.y, ref.y, tol, "y");
+            expect_rel_close(got.dx, ref.dx, tol, "dx");
+            expect_rel_close(got.dwx, ref.dwx, tol, "dwx");
+            expect_rel_close(got.db, ref.db, tol, "db");
+            if (s.time == 1)
+                EXPECT_EQ(first_diff(got.dwh, std::vector<float>(
+                                                  dwh.size(), 0.25f)),
+                          -1);
+            else
+                expect_rel_close(got.dwh, ref.dwh, tol, "dwh");
+        }
+    }
+}
+
+/**
+ * infer() runs in its own scratch: an infer() of another shape between
+ * forward() and backward() leaves y, dx and every gradient bit-identical.
+ */
+TEST(Lstm, InferBetweenForwardAndBackwardLeavesGradients)
+{
+    for (const LstmShape &s : kLstmShapes) {
+        SCOPED_TRACE(::testing::Message() << "T=" << s.time << " B="
+                                          << s.batch << " " << s.in << "->"
+                                          << s.hidden);
+        LstmFixture f(s);
+        Tensor other({s.time + 2, s.batch + 3, s.in});
+        Rng rng(78);
+        testing::randomize(other, rng, 1.0);
+        f.layer.zero_grad();
+        const LstmPass plain = run_lstm(f.layer, f.x, f.dy);
+        f.layer.zero_grad();
+        const LstmPass mixed = run_lstm(f.layer, f.x, f.dy, &other);
+        EXPECT_EQ(first_diff(mixed.y, plain.y), -1);
+        EXPECT_EQ(first_diff(mixed.dx, plain.dx), -1);
+        EXPECT_EQ(first_diff(mixed.dwx, plain.dwx), -1);
+        EXPECT_EQ(first_diff(mixed.dwh, plain.dwh), -1);
+        EXPECT_EQ(first_diff(mixed.db, plain.db), -1);
+    }
+}
+
+/** forward() and infer() run one recurrence: on scalar, the same bits. */
+TEST(Lstm, InferMatchesForwardBitwiseOnScalar)
+{
+    testing::ScopedKernelArch scalar(kernels::KernelArch::Scalar);
+    for (const LstmShape &s : kLstmShapes) {
+        LstmFixture f(s);
+        EXPECT_EQ(first_diff(values(f.layer.infer(f.x)),
+                             values(f.layer.forward(f.x))),
+                  -1)
+            << "T=" << s.time << " B=" << s.batch << " " << s.in << "->"
+            << s.hidden;
+    }
+}
+
 TEST(SoftmaxCrossEntropy, UniformLogitsGiveLogC)
 {
     SoftmaxCrossEntropy l;
@@ -436,6 +647,51 @@ TEST(SoftmaxCrossEntropy, GradientSumsToZeroPerRow)
     for (size_t i = 0; i < g.size(); ++i)
         sum += g[i];
     EXPECT_NEAR(sum, 0.0, 1e-6);
+}
+
+/**
+ * Each exp(logit - max) is computed once and reused for the denominator
+ * and the probabilities: loss, probabilities and correct() keep the
+ * bits of the two-pass form that evaluated every exp twice.
+ */
+TEST(SoftmaxCrossEntropy, MatchesTwoPassReferenceBitwise)
+{
+    const int batch = 6, classes = kTextVocab;
+    Tensor logits({batch, classes});
+    Rng rng(21);
+    testing::randomize(logits, rng, 4.0);
+    std::vector<int> labels;
+    for (int n = 0; n < batch; ++n)
+        labels.push_back((n * 7) % classes);
+
+    Tensor probs({batch, classes});
+    int correct = 0;
+    double loss = 0.0;
+    for (int n = 0; n < batch; ++n) {
+        float mx = logits.at2(n, 0);
+        int arg = 0;
+        for (int c = 1; c < classes; ++c)
+            if (logits.at2(n, c) > mx) {
+                mx = logits.at2(n, c);
+                arg = c;
+            }
+        correct += arg == labels[static_cast<size_t>(n)] ? 1 : 0;
+        double denom = 0.0;
+        for (int c = 0; c < classes; ++c)
+            denom += std::exp(static_cast<double>(logits.at2(n, c) - mx));
+        for (int c = 0; c < classes; ++c)
+            probs.at2(n, c) = static_cast<float>(
+                std::exp(static_cast<double>(logits.at2(n, c) - mx)) / denom);
+        const int y = labels[static_cast<size_t>(n)];
+        loss -= static_cast<double>(logits.at2(n, y) - mx) - std::log(denom);
+    }
+    loss /= batch;
+
+    SoftmaxCrossEntropy l;
+    const double got = l.forward(logits, labels);
+    EXPECT_EQ(std::memcmp(&got, &loss, sizeof(double)), 0);
+    EXPECT_EQ(first_diff(values(l.probs()), values(probs)), -1);
+    EXPECT_EQ(l.correct(), correct);
 }
 
 TEST(ArgmaxRows, PicksLargest)
@@ -509,6 +765,49 @@ TEST(Sequential, ZeroGradClearsAll)
     for (Tensor *g : m.grads())
         for (size_t i = 0; i < g->size(); ++i)
             ASSERT_EQ((*g)[i], 0.0f);
+}
+
+/**
+ * Sequential::backward() never computes the model's input gradient
+ * (the first layer runs backward_params()), yet its parameter gradients
+ * are bit-identical to running every layer's backward() by hand, layer
+ * 0's dx included — at batch 1 and on the batch-wide conv path.
+ */
+TEST(Sequential, BackwardMatchesLayerByLayerBitwise)
+{
+    for (Workload w : all_workloads()) {
+        for (int batch : {1, 4}) {
+            SCOPED_TRACE(::testing::Message()
+                         << workload_name(w) << " B=" << batch);
+            Sequential a = make_model(w);
+            Sequential b = make_model(w);
+            Rng rng(23);
+            a.init_weights(rng);
+            b.set_flat_weights(a.flat_weights());
+            Tensor x(model_batch_shape(w, batch));
+            testing::randomize(x, rng, 1.0);
+            Tensor g({batch, model_num_classes(w)});
+            testing::randomize(g, rng, 1.0);
+
+            a.zero_grad();
+            a.forward(x);
+            a.backward(g);
+
+            b.zero_grad();
+            b.forward(x);
+            Tensor d = g;
+            for (size_t i = b.num_layers(); i-- > 0;)
+                d = b.layer(i).backward(d);
+            EXPECT_EQ(d.shape(), x.shape());
+
+            const auto ga = a.grads();
+            const auto gb = b.grads();
+            ASSERT_EQ(ga.size(), gb.size());
+            for (size_t p = 0; p < ga.size(); ++p)
+                EXPECT_EQ(first_diff(values(*ga[p]), values(*gb[p])), -1)
+                    << "grad " << p;
+        }
+    }
 }
 
 class ModelZooTest : public ::testing::TestWithParam<Workload>
