@@ -730,12 +730,6 @@ current_gemm_path()
     return gemm_path_slot().load(std::memory_order_relaxed);
 }
 
-bool
-gemm_packs(int m, int n, int k)
-{
-    return use_packed_path(active(), m, n, k);
-}
-
 void
 gemm(int m, int n, int k, const float *a, int lda, const float *b, int ldb,
      float *c, int ldc, bool accumulate)
@@ -838,7 +832,7 @@ pack_gemm_a(int m, int k, const float *a, int lda, bool a_transposed)
 }
 
 PackedGemm
-pack_gemm_b(int k, int n, const float *b, int ldb, bool b_transposed)
+pack_gemm_b(int m, int k, int n, const float *b, int ldb, bool b_transposed)
 {
     PackedGemm p;
     p.rows_ = k;
@@ -846,36 +840,29 @@ pack_gemm_b(int k, int n, const float *b, int ldb, bool b_transposed)
     p.arch_ = current_kernel_arch();
     if (k <= 0 || n <= 0)
         return p;
-    const size_t rs = b_transposed ? 1 : static_cast<size_t>(ldb);
-    const size_t cs = b_transposed ? static_cast<size_t>(ldb) : 1;
     const KernelTable *t = table_for(p.arch_);
-    if (t != nullptr && t->gemm_micro != nullptr && k >= kPackedMinK &&
-        n >= t->gemm_nr) {
-        p.panels_ = true;
-        p.buf_.resize(static_cast<size_t>(round_up(n, t->gemm_nr)) * k);
-        float *out = p.buf_.data();
-        for (int jc = 0; jc < n; jc += t->gemm_nc) {
-            const int nb = std::min(t->gemm_nc, n - jc);
-            for (int pc = 0; pc < k; pc += t->gemm_kc) {
-                const int kb = std::min(t->gemm_kc, k - pc);
-                pack_b_block(kb, nb,
-                             b + static_cast<size_t>(pc) * rs +
-                                 static_cast<size_t>(jc) * cs,
-                             rs, cs, t->gemm_nr, out);
-                out += static_cast<size_t>(round_up(nb, t->gemm_nr)) * kb;
-            }
-        }
+    if (t == nullptr || !use_packed_path(*t, m, n, k)) {
+        // gemm() would run this shape on the direct kernel: borrow.
+        p.borrowed_ = b;
+        p.ld_ = ldb;
+        p.transposed_ = b_transposed;
         return p;
     }
-    p.buf_.resize(static_cast<size_t>(k) * n);
-    for (int kk = 0; kk < k; ++kk) {
-        float *dst = p.buf_.data() + static_cast<size_t>(kk) * n;
-        const float *src = b + static_cast<size_t>(kk) * rs;
-        if (cs == 1)
-            std::memcpy(dst, src, sizeof(float) * static_cast<size_t>(n));
-        else
-            for (int j = 0; j < n; ++j)
-                dst[j] = src[static_cast<size_t>(j) * cs];
+    const size_t rs = b_transposed ? 1 : static_cast<size_t>(ldb);
+    const size_t cs = b_transposed ? static_cast<size_t>(ldb) : 1;
+    p.panels_ = true;
+    p.buf_.resize(static_cast<size_t>(round_up(n, t->gemm_nr)) * k);
+    float *out = p.buf_.data();
+    for (int jc = 0; jc < n; jc += t->gemm_nc) {
+        const int nb = std::min(t->gemm_nc, n - jc);
+        for (int pc = 0; pc < k; pc += t->gemm_kc) {
+            const int kb = std::min(t->gemm_kc, k - pc);
+            pack_b_block(kb, nb,
+                         b + static_cast<size_t>(pc) * rs +
+                             static_cast<size_t>(jc) * cs,
+                         rs, cs, t->gemm_nr, out);
+            out += static_cast<size_t>(round_up(nb, t->gemm_nr)) * kb;
+        }
     }
     return p;
 }
@@ -909,7 +896,10 @@ gemm_packed_b(int m, const float *a, int lda, const PackedGemm &b, float *c,
     if (m <= 0 || n <= 0)
         return;
     if (!b.panels_) {
-        gemm(m, n, k, a, lda, b.buf_.data(), n, c, ldc, accumulate);
+        if (b.transposed_)
+            gemm_nt(m, n, k, a, lda, b.borrowed_, b.ld_, c, ldc, accumulate);
+        else
+            gemm(m, n, k, a, lda, b.borrowed_, b.ld_, c, ldc, accumulate);
         return;
     }
     packed_gemm_driver(*table_for(b.arch_), m, n, k,

@@ -78,13 +78,6 @@ GemmPath set_gemm_path(GemmPath path);
 /** The path policy gemm() consults right now. */
 GemmPath current_gemm_path();
 
-/**
- * Whether gemm() of this shape takes the packed-panel path. A call site
- * repeating the shape on a constant operand prepacks it exactly when
- * this holds: no per-call packing, and the same kernel and bits.
- */
-bool gemm_packs(int m, int n, int k);
-
 // ------------------------------------------- prepacked GEMM operands
 // Weight-stationary call sites (LSTM steps share one Wh across all
 // timesteps, conv layers share one W across the batch) pack the
@@ -93,9 +86,10 @@ bool gemm_packs(int m, int n, int k);
 // compute calls keep using that arch's microkernel, so a handle stays
 // valid (and deterministic) even if the dispatch arch is flipped
 // mid-flight. On the scalar table — or for shapes below the packing
-// cutoff — the handle degrades to a contiguous row-major copy and the
-// compute calls route through the ordinary dispatcher, preserving the
-// scalar bit-exactness contract.
+// cutoff — an A handle degrades to a contiguous row-major copy and a B
+// handle borrows the caller's operand; either way the compute calls
+// route through the ordinary dispatcher, preserving the scalar
+// bit-exactness contract.
 
 /** Opaque prepacked operand; movable, reusable across calls. */
 class PackedGemm
@@ -115,8 +109,8 @@ class PackedGemm
   private:
     friend PackedGemm pack_gemm_a(int m, int k, const float *a, int lda,
                                   bool a_transposed);
-    friend PackedGemm pack_gemm_b(int k, int n, const float *b, int ldb,
-                                  bool b_transposed);
+    friend PackedGemm pack_gemm_b(int m, int k, int n, const float *b,
+                                  int ldb, bool b_transposed);
     friend void gemm_packed_a(const PackedGemm &a, int n, const float *b,
                               int ldb, float *c, int ldc, bool accumulate);
     friend void gemm_packed_b(int m, const float *a, int lda,
@@ -124,6 +118,9 @@ class PackedGemm
                               bool accumulate);
 
     std::vector<float> buf_;
+    const float *borrowed_ = nullptr;  ///< Unpacked B: the caller's operand.
+    int ld_ = 0;                       ///< Leading dimension of borrowed_.
+    bool transposed_ = false;          ///< borrowed_ is stored {n, k}.
     int rows_ = 0;
     int cols_ = 0;
     KernelArch arch_ = KernelArch::Scalar;
@@ -140,11 +137,17 @@ PackedGemm pack_gemm_a(int m, int k, const float *a, int lda,
                        bool a_transposed = false);
 
 /**
- * Pack the B operand of C {m,n} = A B {k,n}. With @p b_transposed,
+ * Prepare the B operand of C {m,n} = A B {k,n} for repeated
+ * gemm_packed_b calls with @p m rows. When gemm() takes the packed path
+ * for that shape, B is packed into panels once here; otherwise the
+ * handle borrows @p b (which must then outlive it) and every call runs
+ * the dispatcher on it. Either way a call computes the bits gemm() of
+ * the shape would, minus the per-call packing. With @p b_transposed,
  * @p b is stored {n,k} with leading dimension @p ldb (the gemm_nt B
- * operand) and is gathered into the same column-panel layout.
+ * operand, with gemm_nt() as the reference) and packs into the same
+ * column-panel layout.
  */
-PackedGemm pack_gemm_b(int k, int n, const float *b, int ldb,
+PackedGemm pack_gemm_b(int m, int k, int n, const float *b, int ldb,
                        bool b_transposed = false);
 
 /** C {a.rows(), n} = (or +=) packed A x B {a.cols(), n}. */

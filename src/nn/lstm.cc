@@ -67,21 +67,16 @@ Lstm::run(const Tensor &x, Sequence &s, bool training)
     // activates z_t in place and writes c_t and h_t.
     const auto gate =
         training ? &kernels::lstm_gate_forward : &kernels::lstm_gate_infer;
-    // When the step GEMM takes the packed path, Wh is packed once here
-    // instead of once per step (same kernel, same bits).
-    const bool pack = kernels::gemm_packs(batch, h4, hidden_);
+    // Wh is prepared once for every step: packed when the step GEMM
+    // takes the packed path, borrowed otherwise (same kernel, same bits).
     const kernels::PackedGemm whp =
-        pack ? kernels::pack_gemm_b(hidden_, h4, wh_.data(), h4)
-             : kernels::PackedGemm();
+        kernels::pack_gemm_b(batch, hidden_, h4, wh_.data(), h4);
     for (int t = 0; t < time; ++t) {
         float *zt = s.z.data() + t * zb;
         float *ht = s.h.data() + t * hb;
-        if (t > 0 && pack)
+        if (t > 0)
             kernels::gemm_packed_b(batch, ht - hb, hidden_, whp, zt, h4,
                                    /*accumulate=*/true);
-        else if (t > 0)
-            kernels::gemm(batch, h4, hidden_, ht - hb, hidden_, wh_.data(),
-                          h4, zt, h4, /*accumulate=*/true);
         gate(batch, hidden_, zt, s.c.data() + t * hb,
              s.c.data() + (t + 1) * hb, ht);
     }
@@ -127,13 +122,10 @@ Lstm::bptt(const Tensor &grad_out, float *dx)
     }
 
     // Only the recurrence runs per step: the gate backward, then
-    // dh_{t-1} = dz_t Wh^T (not needed past t = 0), on Wh^T packed once
-    // when that GEMM takes the packed path.
-    const bool pack = kernels::gemm_packs(batch, hidden_, h4);
-    const kernels::PackedGemm whpt =
-        pack ? kernels::pack_gemm_b(h4, hidden_, wh_.data(), h4,
-                                    /*b_transposed=*/true)
-             : kernels::PackedGemm();
+    // dh_{t-1} = dz_t Wh^T (not needed past t = 0), on Wh^T prepared
+    // once like forward's Wh.
+    const kernels::PackedGemm whpt = kernels::pack_gemm_b(
+        batch, h4, hidden_, wh_.data(), h4, /*b_transposed=*/true);
     for (int t = time - 1; t >= 0; --t) {
         if (return_sequences_)
             kernels::vadd(hb, grad_out.data() + t * hb, dh_.data());
@@ -142,11 +134,8 @@ Lstm::bptt(const Tensor &grad_out, float *dx)
                                     s.c.data() + t * hb,
                                     s.c.data() + (t + 1) * hb, dh_.data(),
                                     dc_.data(), dzt, dc_prev_.data());
-        if (t > 0 && pack)
+        if (t > 0)
             kernels::gemm_packed_b(batch, dzt, h4, whpt, dh_.data(), hidden_);
-        else if (t > 0)
-            kernels::gemm_nt(batch, hidden_, h4, dzt, h4, wh_.data(), h4,
-                             dh_.data(), hidden_);
         std::swap(dc_, dc_prev_);
     }
 

@@ -169,12 +169,12 @@ RoundPipeline::on_retired(uint64_t round, const PsRoundStats &stats,
     assert(snap);
 
     if (checkpoint_fn_ && snap) {
-        // Persistence rides retirement: rounds retire in order, so the
-        // hook sees a monotone (round, epoch) sequence, and the shared
-        // history snapshot crosses zero-copy. Invoked with the lock
-        // released (hook style: see AsyncAggregator) — the writer only
-        // enqueues, but no pipeline lock is ever held across foreign
-        // code.
+        // Persistence rides retirement. Rounds retire in order, but
+        // hooks of consecutive rounds may interleave (the writer drops
+        // a late older round). The history snapshot crosses zero-copy.
+        // Invoked with the lock released (hook style: see
+        // AsyncAggregator) — the writer only enqueues, but no pipeline
+        // lock is ever held across foreign code.
         const CheckpointFn fn = checkpoint_fn_;
         lk.unlock();
         fn(round, final_epoch, snap);

@@ -1,5 +1,6 @@
 #include "serve/dynamic_batcher.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <utility>
@@ -216,8 +217,10 @@ void
 DynamicBatcher::dispatch_loop()
 {
     std::unique_lock<std::mutex> lk(mu_);
+    bool ran_batch = false;  // The last claim of this slot ran a batch.
     for (;;) {
         int idx = -1;
+        const bool backlog = pick_model() >= 0;  // Queued while busy.
         work_cv_.wait(lk, [&] {
             return closed_ || (idx = pick_model()) >= 0;
         });
@@ -226,13 +229,19 @@ DynamicBatcher::dispatch_loop()
         Model &m = *models_[static_cast<size_t>(idx)];
         m.running += 1;  // Claim the slot before any waiting.
 
-        // Coalesce: the batch opened when this slot claimed the model;
-        // wait at most batch_timeout_us for batch_size rows to gather,
-        // so a lone request never waits for peers that may not come.
-        if (m.cfg.batch_timeout_us > 0 &&
+        // Coalesce. Rows that queued while this slot ran a batch have
+        // waited already and dispatch at once, so under load batches
+        // fill from the backlog, not from a wait. A slot that was idle
+        // waits for batch_size rows, at most batch_timeout_us and at
+        // most one measured batch service time: waiting longer would
+        // cost its rows more than running one more batch does.
+        if (!(ran_batch && backlog) && m.cfg.batch_timeout_us > 0 &&
             m.queue.queued_rows() < m.cfg.batch_size) {
+            uint64_t wait_us = static_cast<uint64_t>(m.cfg.batch_timeout_us);
+            if (m.ewma_us != 0)
+                wait_us = std::min(wait_us, m.ewma_us);
             const auto deadline = std::chrono::steady_clock::now() +
-                std::chrono::microseconds(m.cfg.batch_timeout_us);
+                std::chrono::microseconds(wait_us);
             work_cv_.wait_until(lk, deadline, [&] {
                 return closed_ ||
                     m.queue.queued_rows() >= m.cfg.batch_size;
@@ -261,6 +270,7 @@ DynamicBatcher::dispatch_loop()
         }
 
         lk.lock();
+        ran_batch = !batch.empty();
         m.running -= 1;
         if (dur_us != 0) {
             // EWMA of batch service time: the feasibility estimate used

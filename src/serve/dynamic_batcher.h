@@ -6,12 +6,16 @@
  *
  * Callers submit model-ready input rows (tagged with a deadline and a
  * priority class) and get a future; `workers` dispatcher threads pull
- * requests off per-model RequestQueues, close a batch at
- * ServeConfig::batch_size rows or the batch_timeout_us deadline
- * (whichever first), run ONE inference pass over the coalesced rows on
- * the model's engine against its latest snapshot, and split the logits
- * back per request. N concurrent 1-row callers therefore pay
- * ~1/batch_size of a forward pass each instead of a full pass per call.
+ * requests off per-model RequestQueues, run ONE inference pass over
+ * the coalesced rows on the model's engine against its latest
+ * snapshot, and split the logits back per request. N concurrent 1-row
+ * callers therefore pay ~1/batch_size of a forward pass each instead
+ * of a full pass per call.
+ *
+ * Batch closing: a dispatcher back from a batch takes what queued
+ * meanwhile at once; an idle one woken by an arrival waits for
+ * batch_size rows, at most batch_timeout_us and at most the model's
+ * observed batch service time (see dispatch_loop).
  *
  * Scheduling (the SLO machinery):
  *

@@ -154,7 +154,8 @@ class ModelService
      * Submit @p rows (layout per Dataset::batch_x, >= 1 sample along
      * the workload's batch axis) to the dynamic batcher: concurrent
      * submissions coalesce into one engine batch (closed at
-     * cfg.batch_size samples or the cfg.batch_timeout_us deadline)
+     * cfg.batch_size samples or the coalescing deadline; see
+     * ServeConfig::batch_timeout_us)
      * against the latest snapshot at dispatch time. Never blocks —
      * under overload the future completes immediately with
      * ReplyStatus::Shed per cfg.shed (bounded queue, bounded p99).

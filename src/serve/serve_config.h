@@ -106,11 +106,12 @@ struct ServeConfig
     int queue_depth = 256;
 
     /**
-     * Deadline (microseconds) for closing a partially filled batch: a
-     * dispatcher that opened a batch stops waiting for more rows this
-     * long after the batch opened, so a lone request never waits for
-     * batch_size - 1 peers that may not come. 0 dispatches whatever is
-     * queued immediately (no coalescing wait).
+     * Deadline (microseconds) for closing a partially filled batch: an
+     * idle dispatcher stops waiting for more rows this long (or one
+     * observed batch service time, if shorter) after an arrival opened
+     * the batch, so a lone request never waits for peers that may not
+     * come. Rows queued while every slot was busy never wait. 0
+     * dispatches whatever is queued immediately (no coalescing wait).
      */
     int batch_timeout_us = 200;
 

@@ -94,6 +94,12 @@ void CheckpointWriter::request(
         std::lock_guard<std::mutex> lk(mu_);
         if (stop_)
             return;
+        ++stats_.requested;
+        if (round < newest_round_) {  // Out of order: see request().
+            ++stats_.dropped;
+            return;
+        }
+        newest_round_ = round;
         // Single pending slot: a newer checkpoint supersedes an
         // unstarted older one. The slow-disk failure mode is "fewer
         // artifacts", never "training waits".
@@ -101,7 +107,6 @@ void CheckpointWriter::request(
             ++stats_.dropped;
         pending_ = Request{round, epoch, std::move(weights)};
         has_pending_ = true;
-        ++stats_.requested;
     }
     cv_.notify_one();
 }

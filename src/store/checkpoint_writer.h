@@ -40,9 +40,9 @@ namespace autofl::store {
 /** Counters for tests / benches; a snapshot, not a live view. */
 struct CheckpointStats
 {
-    uint64_t requested = 0;  ///< request() calls accepted.
+    uint64_t requested = 0;  ///< request() calls before shutdown.
     uint64_t written = 0;    ///< Artifacts durably on disk.
-    uint64_t dropped = 0;    ///< Pending checkpoints superseded unwritten.
+    uint64_t dropped = 0;    ///< Superseded or stale, never written.
     uint64_t deleted = 0;    ///< Artifacts removed by retention.
     SnapshotStatus last_status = SnapshotStatus::Ok;  ///< Last write outcome.
 };
@@ -91,8 +91,11 @@ class CheckpointWriter
     /**
      * Enqueue the state after round @p round at store epoch @p epoch.
      * Never blocks on IO: replaces any unstarted pending checkpoint
-     * (counted as dropped). @p weights is shared zero-copy with the
-     * caller — typically the pipeline's own retained history snapshot.
+     * (counted as dropped). A round older than the newest accepted one
+     * is dropped, as it would move latest.snap backwards: retirement
+     * hooks of consecutive pipelined rounds may race. @p weights is
+     * shared zero-copy with the caller — typically the pipeline's own
+     * retained history snapshot.
      */
     void request(uint64_t round, uint64_t epoch,
                  std::shared_ptr<const std::vector<float>> weights);
@@ -135,6 +138,7 @@ class CheckpointWriter
     std::condition_variable done_cv_;  ///< Signals flush() waiters.
     Request pending_;                  ///< Valid iff has_pending_.
     bool has_pending_ = false;
+    uint64_t newest_round_ = 0;  ///< Newest accepted round.
     bool writing_ = false;
     bool stop_ = false;
     CheckpointStats stats_;

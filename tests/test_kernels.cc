@@ -628,7 +628,10 @@ TEST(PackedGemmPath, RaggedShapesMatchScalar)
  * Prepacked operand handles reproduce the dispatcher: bit-identically
  * where the handle degraded to a contiguous copy (scalar arch), within
  * the gemm tolerance tier where it panel-packed — including the
- * transposed gathers that serve the gemm_tn / gemm_nt call sites.
+ * transposed gathers that serve the gemm_tn / gemm_nt call sites. A B
+ * handle follows gemm()'s own path choice for its row count, so it is
+ * bit-identical to gemm() / gemm_nt() under either path policy, panels
+ * or borrowed.
  */
 TEST(PackedGemmPath, PrepackedOperandsMatchGemm)
 {
@@ -673,30 +676,35 @@ TEST(PackedGemmPath, PrepackedOperandsMatchGemm)
             kernels::gemm_packed_a(pat, n, b.data(), n, got.data(), n, acc);
             check(ref, got, pat.packed());
 
-            const auto pb = kernels::pack_gemm_b(k, n, b.data(), n);
-            EXPECT_EQ(pb.rows(), k);
-            EXPECT_EQ(pb.cols(), n);
-            ref = base;
-            got = base;
-            kernels::gemm(m, n, k, a.data(), k, b.data(), n, ref.data(), n,
-                          acc);
-            kernels::gemm_packed_b(m, a.data(), k, pb, got.data(), n, acc);
-            check(ref, got, pb.packed());
+            for (kernels::GemmPath path :
+                 {kernels::GemmPath::Auto, kernels::GemmPath::Packed}) {
+                const kernels::GemmPath saved = kernels::set_gemm_path(path);
+                const auto pb = kernels::pack_gemm_b(m, k, n, b.data(), n);
+                EXPECT_EQ(pb.rows(), k);
+                EXPECT_EQ(pb.cols(), n);
+                if (path == kernels::GemmPath::Packed) {
+                    EXPECT_EQ(pb.packed(), arch != KernelArch::Scalar);
+                }
+                ref = base;
+                got = base;
+                kernels::gemm(m, n, k, a.data(), k, b.data(), n, ref.data(),
+                              n, acc);
+                kernels::gemm_packed_b(m, a.data(), k, pb, got.data(), n,
+                                       acc);
+                EXPECT_EQ(ref, got) << name;
 
-            const auto pbt =
-                kernels::pack_gemm_b(k, n, bt.data(), k, true);
-            ref = base;
-            got = base;
-            kernels::gemm_nt(m, n, k, a.data(), k, bt.data(), k, ref.data(),
-                             n, acc);
-            kernels::gemm_packed_b(m, a.data(), k, pbt, got.data(), n, acc);
-            // The transposed scalar copy-fallback reduces in the same
-            // ascending-k order but accumulates separately, so it is
-            // tolerance-class like the packed layouts.
-            if (arch == KernelArch::Scalar)
-                expect_rel_close(ref, got, 1e-5, name);
-            else
-                check(ref, got, pbt.packed());
+                const auto pbt =
+                    kernels::pack_gemm_b(m, k, n, bt.data(), k, true);
+                EXPECT_EQ(pbt.packed(), pb.packed());
+                ref = base;
+                got = base;
+                kernels::gemm_nt(m, n, k, a.data(), k, bt.data(), k,
+                                 ref.data(), n, acc);
+                kernels::gemm_packed_b(m, a.data(), k, pbt, got.data(), n,
+                                       acc);
+                EXPECT_EQ(ref, got) << name;
+                kernels::set_gemm_path(saved);
+            }
         }
     }
 }

@@ -123,6 +123,32 @@ TEST(DynamicBatcher, DeadlineClosesPartialBatch)
     EXPECT_LT(r1.batch_rows, 64);
 }
 
+TEST(DynamicBatcher, MeasuredServiceTimeCapsTheCoalescingWait)
+{
+    // Until a batch has been timed, a lone request waits the whole
+    // batch_timeout_us for peers. Afterwards an idle dispatcher waits at
+    // most one batch's service time (milliseconds here), far less.
+    const Workload w = Workload::CnnMnist;
+    const Dataset test = small_test_set(w, 2);
+    ServeConfig cfg;
+    cfg.batch_size = 64;
+    cfg.workers = 1;
+    cfg.batch_timeout_us = 600000;
+    ModelService ms(w, cfg);
+    ms.publish(random_weights(w, 6));
+
+    using Clock = std::chrono::steady_clock;
+    const auto timed_query = [&](int i) {
+        const auto t0 = Clock::now();
+        const InferenceReply r = ms.query(test.batch_x({i}));
+        EXPECT_TRUE(r.ok()) << reply_status_name(r.status);
+        return std::chrono::duration<double>(Clock::now() - t0).count();
+    };
+    EXPECT_GE(timed_query(0), 0.6);  // No estimate yet: the full wait.
+    EXPECT_LT(timed_query(1), 0.3);
+    EXPECT_EQ(ms.serving_stats().batches, 2u);
+}
+
 TEST(DynamicBatcher, SplitsMultiRowSubmissionsExactly)
 {
     // Mixed-size submissions coalesce into one pass and split back per

@@ -379,6 +379,30 @@ TEST(CheckpointWriter, WritesArtifactsAndRepointsLatest)
     EXPECT_EQ(dl.weights, w1);
 }
 
+TEST(CheckpointWriter, OlderRoundNeverReplacesNewer)
+{
+    // Retirement hooks of consecutive pipelined rounds may call in out
+    // of order; latest.snap must still end on the newest round.
+    const ScratchDir dir("out_of_order");
+    const std::vector<float> w5 = pattern_weights(64);
+    std::vector<float> w3 = w5;
+    w3[0] += 1.0f;
+    const uint64_t topo = store::model_topology_hash("CNN-MNIST", w5.size());
+    CheckpointWriter wr(dir, topo, 2);
+    wr.request(5, 6, std::make_shared<const std::vector<float>>(w5));
+    wr.request(3, 4, std::make_shared<const std::vector<float>>(w3));
+    wr.flush();
+    const auto st = wr.stats();
+    EXPECT_EQ(st.requested, 2u);
+    EXPECT_EQ(st.written, 1u);
+    EXPECT_EQ(st.dropped, 1u);
+    SnapshotData d;
+    ASSERT_EQ(store::read_snapshot_file(dir + "/latest.snap", &d, topo),
+              SnapshotStatus::Ok);
+    EXPECT_EQ(d.meta.round, 5u);
+    EXPECT_EQ(d.weights, w5);
+}
+
 TEST(CheckpointWriter, DestructorDrainsLastRequest)
 {
     const ScratchDir dir("drain");
