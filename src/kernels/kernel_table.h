@@ -92,6 +92,18 @@ struct KernelTable
                             const float *cprev, float *c,
                             float *h) = nullptr;
 
+    // Direct grouped convolution: one {rows, cols} output plane whose
+    // input rows sit @p pitch floats apart with taps @p step floats
+    // apart along a row. Every element gets the scalar sequence
+    //   out[r * cols + c] = init + w[0] * in[off[0] + r * pitch + c * step]
+    //                     + ... + w[terms-1] * in[off[terms-1] + ...]
+    // (ascending t, a separate mul and add per term, never FMA), so the
+    // entry is bit-identical across variants, like the elementwise
+    // family; it has no parity tier of its own.
+    void (*conv_taps)(int rows, int cols, int pitch, int step, int terms,
+                      const float *w, const int *off, const float *in,
+                      float init, float *out) = nullptr;
+
     // Push-delta codec family (update compression): bit-identical
     // across variants — max is exact, quantize/dequantize and fp16
     // conversions perform one round-to-nearest-even per element.

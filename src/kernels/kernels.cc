@@ -395,6 +395,24 @@ scalar_lstm_gate_backward(int batch, int hidden, const float *z,
     }
 }
 
+// ----------------------------------------- scalar direct convolution
+
+void
+scalar_conv_taps(int rows, int cols, int pitch, int step, int terms,
+                 const float *w, const int *off, const float *in, float init,
+                 float *out)
+{
+    for (int r = 0; r < rows; ++r)
+        for (int c = 0; c < cols; ++c) {
+            const float *p = in + static_cast<size_t>(r) * pitch +
+                static_cast<size_t>(c) * step;
+            float acc = init;
+            for (int t = 0; t < terms; ++t)
+                acc += w[t] * p[off[t]];
+            out[static_cast<size_t>(r) * cols + c] = acc;
+        }
+}
+
 // ----------------------------------------- packed-panel GEMM driver
 // Shared BLIS-style 5-loop driver parameterized by the active table's
 // register-tile geometry (gemm_mr x gemm_nr) and cache blocking
@@ -655,6 +673,7 @@ make_scalar_table()
         k.lstm_gate_forward = scalar_lstm_gate;
         k.lstm_gate_backward = scalar_lstm_gate_backward;
         k.lstm_gate_infer = scalar_lstm_gate;
+        k.conv_taps = scalar_conv_taps;
         // No gemm_micro: the scalar direct loops ARE the bit-exactness
         // baseline, so the scalar table has no packed path by design.
         // Parity tiers: all Exact (this table defines the baseline).
@@ -1203,6 +1222,181 @@ col2im_add(const float *col, int channels, int ih, int iw, int k, int stride,
             }
         }
     }
+}
+
+// ------------------------------------- direct grouped convolution
+
+namespace {
+
+/**
+ * Copy @p planes {h, w} planes into the {dh, dw} planes of @p dst with
+ * their origin at (at, at), clipped to the destination: a positive
+ * origin embeds them in a zero border (only the interior is written,
+ * so a border zeroed once stays zero across calls), a negative one
+ * crops the border off.
+ */
+void
+embed_planes(const float *src, int planes, int h, int w, int dh, int dw,
+             int at, float *dst)
+{
+    const int y0 = std::max(0, -at), y1 = std::min(h, dh - at);
+    const int x0 = std::max(0, -at), n = std::min(w, dw - at) - x0;
+    for (int c = 0; c < planes; ++c)
+        for (int y = y0; y < y1; ++y) {
+            const float *s = src + (static_cast<size_t>(c) * h + y) * w + x0;
+            float *d =
+                dst + (static_cast<size_t>(c) * dh + y + at) * dw + x0 + at;
+            for (int x = 0; x < n; ++x)
+                d[x] = s[x];
+        }
+}
+
+/**
+ * The nonzero entries of the {planes, k, k} weights @p w in ascending
+ * (plane, ky, kx) order, with each tap's offset into zero-padded
+ * planes @p plane floats apart and @p pitch floats per row. Zero
+ * weights are dropped as scalar_gemm skips zero multipliers, so a zero
+ * tap over an inf input adds nothing. Returns the term count.
+ */
+int
+gather_taps(const float *w, int planes, int k, int plane, int pitch,
+            float *wt, int *off)
+{
+    int terms = 0;
+    for (int c = 0; c < planes; ++c)
+        for (int ky = 0; ky < k; ++ky)
+            for (int kx = 0; kx < k; ++kx) {
+                const float v = w[(c * k + ky) * k + kx];
+                if (v == 0.0f)
+                    continue;
+                wt[terms] = v;
+                off[terms++] = c * plane + ky * pitch + kx;
+            }
+    return terms;
+}
+
+} // namespace
+
+void
+conv_direct(const ConvGeometry &g, const float *x, const float *w,
+            const float *bias, float *y, ConvScratch &scratch)
+{
+    const int icg = g.in_ch / g.groups, ocg = g.out_ch / g.groups;
+    const int oh = g.oh(), ow = g.ow(), taps = icg * g.k * g.k;
+    const int ph = g.ih + 2 * g.pad, pw = g.iw + 2 * g.pad;
+    const size_t in_plane = static_cast<size_t>(g.ih) * g.iw;
+    const size_t out_plane = static_cast<size_t>(oh) * ow;
+    // Every output channel's taps, gathered once for the whole batch.
+    std::vector<float> &wt = scratch.wt, &xp = scratch.planes;
+    std::vector<int> &off = scratch.off, &terms = scratch.terms;
+    wt.resize(static_cast<size_t>(g.out_ch) * taps);
+    off.resize(wt.size());
+    terms.resize(g.out_ch);
+    for (int oc = 0; oc < g.out_ch; ++oc)
+        terms[oc] = gather_taps(w + static_cast<size_t>(oc) * taps, icg, g.k,
+                                ph * pw, pw, wt.data() + oc * taps,
+                                off.data() + oc * taps);
+    xp.assign(static_cast<size_t>(icg) * ph * pw, 0.0f);
+    const auto conv_taps = pick(&KernelTable::conv_taps);
+    for (int n = 0; n < g.batch; ++n)
+        for (int grp = 0; grp < g.groups; ++grp) {
+            embed_planes(x + (static_cast<size_t>(n) * g.in_ch + grp * icg) *
+                                 in_plane,
+                         icg, g.ih, g.iw, ph, pw, g.pad, xp.data());
+            for (int oc = grp * ocg; oc < (grp + 1) * ocg; ++oc)
+                conv_taps(oh, ow, g.stride * pw, g.stride, terms[oc],
+                          wt.data() + oc * taps, off.data() + oc * taps,
+                          xp.data(), bias[oc],
+                          y + (static_cast<size_t>(n) * g.out_ch + oc) *
+                                  out_plane);
+        }
+}
+
+void
+conv_direct_backward(const ConvGeometry &g, const float *x, const float *w,
+                     const float *dy, float *dw, float *db, float *dx,
+                     ConvScratch &scratch)
+{
+    const int icg = g.in_ch / g.groups, ocg = g.out_ch / g.groups;
+    const int k = g.k, kk = k * k, taps = icg * kk;
+    const int oh = g.oh(), ow = g.ow(), s = g.stride;
+    const int ph = g.ih + 2 * g.pad, pw = g.iw + 2 * g.pad;
+    const size_t in_plane = static_cast<size_t>(g.ih) * g.iw;
+    const size_t out_plane = static_cast<size_t>(oh) * ow;
+    // xp holds the group's padded input planes; xq gathers its padded
+    // dx planes.
+    std::vector<float> &xp = scratch.planes, &xq = scratch.grad;
+    xp.assign(static_cast<size_t>(icg) * ph * pw, 0.0f);
+    if (dx != nullptr)
+        xq.resize(xp.size());
+    std::vector<int> &xoff = scratch.off;
+    xoff.resize(taps);
+    for (int t = 0; t < taps; ++t)
+        xoff[t] = t / kk * ph * pw + t % kk / k * pw + t % k;
+
+    for (int n = 0; n < g.batch; ++n)
+        for (int grp = 0; grp < g.groups; ++grp) {
+            const float *dyg = dy + (static_cast<size_t>(n) * g.out_ch +
+                                     grp * ocg) * out_plane;
+            // db: each channel's dy in ascending spatial order.
+            for (int ocl = 0; ocl < ocg; ++ocl) {
+                const float *d = dyg + ocl * out_plane;
+                float &b = db[grp * ocg + ocl];
+                for (size_t i = 0; i < out_plane; ++i)
+                    b += d[i];
+            }
+            // dW: per (channel, tap), this sample's dot product of dy
+            // with the tap's input samples, formed from +0 in ascending
+            // spatial order, then added.
+            embed_planes(x + (static_cast<size_t>(n) * g.in_ch + grp * icg) *
+                                 in_plane,
+                         icg, g.ih, g.iw, ph, pw, g.pad, xp.data());
+            for (int ocl = 0; ocl < ocg; ++ocl) {
+                const float *d = dyg + ocl * out_plane;
+                float *dwc = dw + static_cast<size_t>(grp * ocg + ocl) * taps;
+                for (int t = 0; t < taps; ++t) {
+                    float acc = 0.0f;
+                    for (int oy = 0; oy < oh; ++oy) {
+                        const float *dr = d + static_cast<size_t>(oy) * ow;
+                        const float *p = xp.data() + xoff[t] +
+                            static_cast<size_t>(oy) * s * pw;
+                        for (int ox = 0; ox < ow; ++ox)
+                            acc += dr[ox] * p[static_cast<size_t>(ox) * s];
+                    }
+                    dwc[t] += acc;
+                }
+            }
+            if (dx == nullptr)
+                continue;
+
+            // dx scatters into zero-bordered planes, taps in ascending
+            // order, each tap's sum over the group's output channels
+            // formed first (col2im's order); the border absorbs the taps
+            // that fall in the padding and is cropped off.
+            const float *wg = w + static_cast<size_t>(grp) * ocg * taps;
+            std::fill(xq.begin(), xq.end(), 0.0f);
+            for (int ic = 0; ic < icg; ++ic)
+                for (int t = 0; t < kk; ++t)
+                    for (int oy = 0; oy < oh; ++oy) {
+                        float *row = xq.data() + xoff[ic * kk + t] +
+                            static_cast<size_t>(oy) * s * pw;
+                        for (int ox = 0; ox < ow; ++ox) {
+                            float v = 0.0f;
+                            for (int ocl = 0; ocl < ocg; ++ocl) {
+                                const float wv =
+                                    wg[(ocl * icg + ic) * kk + t];
+                                if (wv != 0.0f)
+                                    v += wv * dyg[ocl * out_plane +
+                                                  static_cast<size_t>(oy) *
+                                                      ow + ox];
+                            }
+                            row[static_cast<size_t>(ox) * s] += v;
+                        }
+                    }
+            embed_planes(xq.data(), icg, ph, pw, g.ih, g.iw, -g.pad,
+                         dx + (static_cast<size_t>(n) * g.in_ch +
+                               grp * icg) * in_plane);
+        }
 }
 
 } // namespace autofl::kernels

@@ -19,6 +19,8 @@
  *    (kernel_parity()): `exact` families (elementwise, codecs) are
  *    bit-identical across ALL variants; `tolerance` families (SIMD
  *    GEMM, vectorized transcendentals) agree within 1e-4 relative.
+ *    The direct grouped convolution is bit-identical across variants
+ *    by construction (see conv_direct()).
  */
 #ifndef AUTOFL_KERNELS_KERNELS_H
 #define AUTOFL_KERNELS_KERNELS_H
@@ -301,6 +303,57 @@ void im2col(const float *x, int channels, int ih, int iw, int k, int stride,
 /** Fold col (rows @p ld apart) back, accumulating overlapping taps into x. */
 void col2im_add(const float *col, int channels, int ih, int iw, int k,
                 int stride, int pad, float *x, size_t ld);
+
+// ------------------------------------- direct grouped convolution
+// Grouped layers (groups > 1, e.g. depthwise) convolve directly rather
+// than through im2col + GEMM: each input plane is copied once into a
+// zero-padded scratch plane, and at stride 1 an output plane's rows run
+// as one contiguous span at the padded pitch (the elements past each
+// row are computed and dropped); a larger stride steps through each
+// row. Every y element gets the sequence the scalar im2col + GEMM path
+// gives it: the bias, then one mul and one add per tap in ascending
+// (ic, ky, kx) order, skipping zero weights as scalar_gemm skips zero
+// multipliers; dx keeps col2im's order, and dW and db are scalar sums
+// in ascending spatial order. Every output is therefore bit-identical
+// on every arch, and y and dx carry the scalar im2col + GEMM path's
+// bits.
+
+/** Shape of a grouped convolution over an {batch, in_ch, ih, iw} input. */
+struct ConvGeometry
+{
+    int batch, in_ch, out_ch, groups, ih, iw, k, stride, pad;
+
+    int oh() const { return conv_out_size(ih, k, stride, pad); }
+    int ow() const { return conv_out_size(iw, k, stride, pad); }
+};
+
+/**
+ * Working buffers of conv_direct() and conv_direct_backward(). A layer
+ * keeps one, so its repeated calls allocate nothing; the contents carry
+ * nothing from one call to the next.
+ */
+struct ConvScratch
+{
+    std::vector<float> wt, planes, grad;
+    std::vector<int> off, terms;
+};
+
+/**
+ * y {batch, out_ch, oh, ow} = bias + W x for W {out_ch, in_ch / groups,
+ * k, k}.
+ */
+void conv_direct(const ConvGeometry &g, const float *x, const float *w,
+                 const float *bias, float *y, ConvScratch &scratch);
+
+/**
+ * conv_direct()'s backward for the upstream gradient @p dy: dw += dW
+ * (sample by sample), db += the per-channel sums of dy, and, unless
+ * @p dx is null (a model's first layer), dx = the input gradient
+ * (overwritten).
+ */
+void conv_direct_backward(const ConvGeometry &g, const float *x,
+                          const float *w, const float *dy, float *dw,
+                          float *db, float *dx, ConvScratch &scratch);
 
 } // namespace autofl::kernels
 

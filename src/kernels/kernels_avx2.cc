@@ -16,12 +16,16 @@
  *    combined low-to-high, then the scalar k-tail — fixed order.
  *  - Elementwise kernels use mul/add (never FMA) in the scalar's exact
  *    operation sequence, so they are bit-identical to the scalar table.
+ *    So does the direct-convolution kernel (conv_taps), which the
+ *    AVX-512 table inherits.
  */
 #include "kernels/kernel_table.h"
 
 #if defined(__AVX2__) && defined(__FMA__)
 
 #include <immintrin.h>
+
+#include <algorithm>
 
 namespace autofl::kernels {
 
@@ -933,6 +937,111 @@ avx2_lstm_gate_backward(int batch, int hidden, const float *z,
     }
 }
 
+// ------------------------------------------------ direct convolution
+
+/** Lanes [0, rem) set: the maskload/maskstore mask of a ragged block. */
+inline __m256i
+lanes_below(int rem)
+{
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(rem),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+/** Span floats conv_taps stages on the stack per block of rows. */
+constexpr int kConvSpan = 1024;
+
+/**
+ * out[j] = init + sum_t w[t] * in[off[t] + j] for j in [0, n): 8 lanes
+ * per vector and up to four vectors in flight, each lane in the scalar
+ * entry's sequence (a separate mul and add per term).
+ */
+void
+taps_span(int n, int terms, const float *w, const int *off, const float *in,
+          float init, float *out)
+{
+    const __m256 vinit = _mm256_set1_ps(init);
+    int j = 0;
+    for (; j + 32 <= n; j += 32) {
+        __m256 a0 = vinit, a1 = vinit, a2 = vinit, a3 = vinit;
+        for (int t = 0; t < terms; ++t) {
+            const __m256 vw = _mm256_set1_ps(w[t]);
+            const float *p = in + off[t] + j;
+            a0 = _mm256_add_ps(a0, _mm256_mul_ps(vw, _mm256_loadu_ps(p)));
+            a1 = _mm256_add_ps(a1,
+                               _mm256_mul_ps(vw, _mm256_loadu_ps(p + 8)));
+            a2 = _mm256_add_ps(a2,
+                               _mm256_mul_ps(vw, _mm256_loadu_ps(p + 16)));
+            a3 = _mm256_add_ps(a3,
+                               _mm256_mul_ps(vw, _mm256_loadu_ps(p + 24)));
+        }
+        _mm256_storeu_ps(out + j, a0);
+        _mm256_storeu_ps(out + j + 8, a1);
+        _mm256_storeu_ps(out + j + 16, a2);
+        _mm256_storeu_ps(out + j + 24, a3);
+    }
+    for (; j + 16 <= n; j += 16) {
+        __m256 a0 = vinit, a1 = vinit;
+        for (int t = 0; t < terms; ++t) {
+            const __m256 vw = _mm256_set1_ps(w[t]);
+            const float *p = in + off[t] + j;
+            a0 = _mm256_add_ps(a0, _mm256_mul_ps(vw, _mm256_loadu_ps(p)));
+            a1 = _mm256_add_ps(a1,
+                               _mm256_mul_ps(vw, _mm256_loadu_ps(p + 8)));
+        }
+        _mm256_storeu_ps(out + j, a0);
+        _mm256_storeu_ps(out + j + 8, a1);
+    }
+    for (; j < n; j += 8) {
+        const __m256i m = lanes_below(n - j);
+        __m256 a = vinit;
+        for (int t = 0; t < terms; ++t)
+            a = _mm256_add_ps(
+                a, _mm256_mul_ps(_mm256_set1_ps(w[t]),
+                                 _mm256_maskload_ps(in + off[t] + j, m)));
+        _mm256_maskstore_ps(out + j, m, a);
+    }
+}
+
+/**
+ * conv_taps over unit-stride rows. A block of rows runs as one span
+ * at the input pitch, staged on the stack; the pitch - cols elements
+ * after each row are computed and dropped when the rows are copied
+ * out. A single row needs no staging. Strided rows run the scalar
+ * entry.
+ */
+void
+avx2_conv_taps(int rows, int cols, int pitch, int step, int terms,
+               const float *w, const int *off, const float *in, float init,
+               float *out)
+{
+    if (step != 1) {
+        scalar_kernel_table()->conv_taps(rows, cols, pitch, step, terms, w,
+                                         off, in, init, out);
+        return;
+    }
+    alignas(32) float span[kConvSpan];
+    int block = rows;
+    if ((rows - 1) * pitch + cols > kConvSpan)
+        block = cols < kConvSpan ? (kConvSpan - cols) / pitch + 1 : 1;
+    for (int r = 0; r < rows; r += block) {
+        const int nr = std::min(block, rows - r);
+        const float *p = in + static_cast<size_t>(r) * pitch;
+        float *o = out + static_cast<size_t>(r) * cols;
+        if (nr == 1) {
+            taps_span(cols, terms, w, off, p, init, o);
+            continue;
+        }
+        taps_span((nr - 1) * pitch + cols, terms, w, off, p, init, span);
+        for (int i = 0; i < nr; ++i)
+            for (int c = 0; c < cols; c += 8) {
+                const __m256i m = lanes_below(cols - c);
+                _mm256_maskstore_ps(o + static_cast<size_t>(i) * cols + c, m,
+                                    _mm256_maskload_ps(span + i * pitch + c,
+                                                       m));
+            }
+    }
+}
+
 } // namespace
 
 const KernelTable *
@@ -979,6 +1088,7 @@ avx2_kernel_table()
         k.lstm_gate_forward = avx2_lstm_gate_forward;
         k.lstm_gate_infer = avx2_lstm_gate_infer;
         k.lstm_gate_backward = avx2_lstm_gate_backward;
+        k.conv_taps = avx2_conv_taps;
         k.parity_tier = KernelParity{
             .gemm = ParityTier::Tolerance,
             .elementwise = ParityTier::Exact,

@@ -36,6 +36,8 @@ Conv2D::forward(Tensor x)
 {
     assert(x.rank() == 4 && x.dim(1) == in_ch_);
     x_cache_ = std::move(x);
+    if (groups_ > 1)
+        return convolve_direct(x_cache_);
     return wide(x_cache_) ? convolve_wide(x_cache_, colw_)
                           : convolve(x_cache_);
 }
@@ -44,9 +46,28 @@ Tensor
 Conv2D::infer(Tensor x)
 {
     assert(x.rank() == 4 && x.dim(1) == in_ch_);
+    if (groups_ > 1)
+        return convolve_direct(x);
     // Separate column scratch: an infer() between forward() and
     // backward() must not overwrite the columns backward() reuses.
     return wide(x) ? convolve_wide(x, col_) : convolve(x);
+}
+
+kernels::ConvGeometry
+Conv2D::geometry(const Tensor &x) const
+{
+    return {x.dim(0), in_ch_, out_ch_, groups_, x.dim(2), x.dim(3),
+            k_,       stride_, pad_};
+}
+
+Tensor
+Conv2D::convolve_direct(const Tensor &xin)
+{
+    const kernels::ConvGeometry g = geometry(xin);
+    Tensor y({g.batch, out_ch_, g.oh(), g.ow()});
+    kernels::conv_direct(g, xin.data(), w_.data(), b_.data(), y.data(),
+                         direct_);
+    return y;
 }
 
 Tensor
@@ -94,52 +115,35 @@ Conv2D::convolve(const Tensor &xin)
 {
     const int batch = xin.dim(0), ih = xin.dim(2), iw = xin.dim(3);
     const int oh = out_size(ih), ow = out_size(iw);
-    const int icg = in_ch_ / groups_, ocg = out_ch_ / groups_;
-    const int patch = icg * k_ * k_;
+    const int patch = in_ch_ * k_ * k_;
     const int ospatial = oh * ow;
+    const size_t in_plane = static_cast<size_t>(in_ch_) * ih * iw;
     Tensor y({batch, out_ch_, oh, ow});
 
     if (!pointwise())
         col_.resize(static_cast<size_t>(patch) * ospatial);
 
-    // Ungrouped layers share one W across the whole batch: pack its
-    // panels once and let every per-sample GEMM reuse them. Grouped
-    // weights are per-group slices too small to pay for packing.
-    kernels::PackedGemm wp;
-    if (groups_ == 1)
-        wp = kernels::pack_gemm_a(ocg, patch, w_.data(), patch);
-
+    // One W across the whole batch: pack its panels once and let every
+    // per-sample GEMM reuse them.
+    const kernels::PackedGemm wp =
+        kernels::pack_gemm_a(out_ch_, patch, w_.data(), patch);
     for (int n = 0; n < batch; ++n) {
-        for (int g = 0; g < groups_; ++g) {
-            const float *xg = xin.data() +
-                (static_cast<size_t>(n) * in_ch_ + g * icg) * ih * iw;
-            const float *col = xg;
-            if (!pointwise()) {
-                kernels::im2col(xg, icg, ih, iw, k_, stride_, pad_,
-                                col_.data(), ospatial);
-                col = col_.data();
-            }
-            // Pre-fill the output rows with the bias, then let the GEMM
-            // accumulate on top: same bias-first reduction order as the
-            // original direct loops.
-            float *yg = y.data() +
-                (static_cast<size_t>(n) * out_ch_ + g * ocg) * ospatial;
-            for (int ocl = 0; ocl < ocg; ++ocl) {
-                const float bias = b_[static_cast<size_t>(g * ocg + ocl)];
-                float *yrow = yg + static_cast<size_t>(ocl) * ospatial;
-                for (int i = 0; i < ospatial; ++i)
-                    yrow[i] = bias;
-            }
-            if (groups_ == 1) {
-                kernels::gemm_packed_a(wp, ospatial, col, ospatial, yg,
-                                       ospatial, /*accumulate=*/true);
-            } else {
-                const float *wg =
-                    w_.data() + static_cast<size_t>(g) * ocg * patch;
-                kernels::gemm(ocg, ospatial, patch, wg, patch, col,
-                              ospatial, yg, ospatial, /*accumulate=*/true);
-            }
+        const float *col = xin.data() + n * in_plane;
+        if (!pointwise()) {
+            kernels::im2col(col, in_ch_, ih, iw, k_, stride_, pad_,
+                            col_.data(), ospatial);
+            col = col_.data();
         }
+        // Pre-fill the output rows with the bias, then let the GEMM
+        // accumulate on top: same bias-first reduction order as the
+        // original direct loops.
+        float *yn = y.data() + static_cast<size_t>(n) * out_ch_ * ospatial;
+        for (int oc = 0; oc < out_ch_; ++oc)
+            std::fill(yn + static_cast<size_t>(oc) * ospatial,
+                      yn + static_cast<size_t>(oc + 1) * ospatial,
+                      b_[static_cast<size_t>(oc)]);
+        kernels::gemm_packed_a(wp, ospatial, col, ospatial, yn, ospatial,
+                               /*accumulate=*/true);
     }
     return y;
 }
@@ -164,12 +168,20 @@ Conv2D::backprop(const Tensor &grad_out, Tensor *dx)
     const Tensor &x = x_cache_;
     const int batch = x.dim(0), ih = x.dim(2), iw = x.dim(3);
     const int oh = out_size(ih), ow = out_size(iw);
-    const int icg = in_ch_ / groups_, ocg = out_ch_ / groups_;
-    const int patch = icg * k_ * k_;
+    const int patch = in_ch_ * k_ * k_;
     const int ospatial = oh * ow;
+    const size_t in_plane = static_cast<size_t>(in_ch_) * ih * iw;
     assert(grad_out.dim(1) == out_ch_ && grad_out.dim(2) == oh &&
            grad_out.dim(3) == ow);
 
+    if (groups_ > 1) {
+        kernels::conv_direct_backward(geometry(x), x.data(), w_.data(),
+                                      grad_out.data(), dw_.data(),
+                                      db_.data(),
+                                      dx != nullptr ? dx->data() : nullptr,
+                                      direct_);
+        return;
+    }
     if (wide(x)) {
         backward_wide(grad_out, dx);
         return;
@@ -184,53 +196,41 @@ Conv2D::backprop(const Tensor &grad_out, Tensor *dx)
     // the transposed panels once per backward call. (The dW gemm_nt has
     // no batch-constant operand — both dy and col change per sample.)
     kernels::PackedGemm wpt;
-    if (groups_ == 1 && dx != nullptr)
-        wpt = kernels::pack_gemm_a(patch, ocg, w_.data(), patch,
+    if (dx != nullptr)
+        wpt = kernels::pack_gemm_a(patch, out_ch_, w_.data(), patch,
                                    /*a_transposed=*/true);
 
     for (int n = 0; n < batch; ++n) {
-        for (int g = 0; g < groups_; ++g) {
-            const float *dyg = grad_out.data() +
-                (static_cast<size_t>(n) * out_ch_ + g * ocg) * ospatial;
-            // db: per-channel sums of the output gradient, accumulated
-            // in ascending spatial order like the direct loops.
-            for (int ocl = 0; ocl < ocg; ++ocl) {
-                const float *dyrow =
-                    dyg + static_cast<size_t>(ocl) * ospatial;
-                float &db = db_[static_cast<size_t>(g * ocg + ocl)];
-                for (int i = 0; i < ospatial; ++i)
-                    db += dyrow[i];
-            }
-            const float *xg = x.data() +
-                (static_cast<size_t>(n) * in_ch_ + g * icg) * ih * iw;
-            const float *col = xg;
-            if (!pointwise()) {
-                kernels::im2col(xg, icg, ih, iw, k_, stride_, pad_,
-                                col_.data(), ospatial);
-                col = col_.data();
-            }
-            // dW_g += dy_g x col^T.
-            float *dwg = dw_.data() + static_cast<size_t>(g) * ocg * patch;
-            kernels::gemm_nt(ocg, patch, ospatial, dyg, ospatial, col,
-                             ospatial, dwg, patch, /*accumulate=*/true);
-            if (dx == nullptr)
-                continue;
-            // dcol = W_g^T x dy_g, folded back into dx.
-            const float *wg =
-                w_.data() + static_cast<size_t>(g) * ocg * patch;
-            float *dxg = dx->data() +
-                (static_cast<size_t>(n) * in_ch_ + g * icg) * ih * iw;
-            float *dcol = pointwise() ? dxg : dcol_.data();
-            if (groups_ == 1)
-                kernels::gemm_packed_a(wpt, ospatial, dyg, ospatial, dcol,
-                                       ospatial);
-            else
-                kernels::gemm_tn(patch, ospatial, ocg, wg, patch, dyg,
-                                 ospatial, dcol, ospatial);
-            if (!pointwise())
-                kernels::col2im_add(dcol_.data(), icg, ih, iw, k_, stride_,
-                                    pad_, dxg, ospatial);
+        const float *dyn = grad_out.data() +
+            static_cast<size_t>(n) * out_ch_ * ospatial;
+        // db: per-channel sums of the output gradient, accumulated in
+        // ascending spatial order like the direct loops.
+        for (int oc = 0; oc < out_ch_; ++oc) {
+            const float *dyrow = dyn + static_cast<size_t>(oc) * ospatial;
+            float &db = db_[static_cast<size_t>(oc)];
+            for (int i = 0; i < ospatial; ++i)
+                db += dyrow[i];
         }
+        const float *xn = x.data() + n * in_plane;
+        const float *col = xn;
+        if (!pointwise()) {
+            kernels::im2col(xn, in_ch_, ih, iw, k_, stride_, pad_,
+                            col_.data(), ospatial);
+            col = col_.data();
+        }
+        // dW += dy x col^T.
+        kernels::gemm_nt(out_ch_, patch, ospatial, dyn, ospatial, col,
+                         ospatial, dw_.data(), patch, /*accumulate=*/true);
+        if (dx == nullptr)
+            continue;
+        // dcol = W^T x dy, folded back into dx.
+        float *dxn = dx->data() + n * in_plane;
+        float *dcol = pointwise() ? dxn : dcol_.data();
+        kernels::gemm_packed_a(wpt, ospatial, dyn, ospatial, dcol,
+                               ospatial);
+        if (!pointwise())
+            kernels::col2im_add(dcol_.data(), in_ch_, ih, iw, k_, stride_,
+                                pad_, dxn, ospatial);
     }
 }
 

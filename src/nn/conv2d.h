@@ -1,32 +1,39 @@
 /**
  * @file
- * 2-D convolution with stride, zero padding and channel groups,
- * computed as im2col + GEMM through the kernel-dispatch backend.
+ * 2-D convolution with stride, zero padding and channel groups, through
+ * the kernel-dispatch backend.
  *
  * Groups support both regular convolution (groups = 1) and the depthwise
  * convolutions used by the MobileNet-style model (groups = in_channels).
+ * Each layer takes one of three paths, the same one in forward(),
+ * infer() and backward():
  *
- * Ungrouped, non-pointwise layers at batch > 1 take the batch-wide path
- * (the unrolled-convolution lowering of Chellapilla et al., 2006) in
- * forward(), infer() and backward() alike: every sample unfolds once,
- * straight into one {patch, batch * ospatial} column matrix, and each
- * pass is one GEMM over the whole batch — forward W x col on top of the
- * bias pre-fill; backward dW += dy x col^T (col cached by forward, not
- * re-unfolded) and dcol = W^T x dy, folded back per sample by a
- * row-strided col2im. Each output and dx element keeps the per-sample
- * path's ascending-k reduction, so on the scalar arch y, dx and db are
- * bit-identical to feeding the samples one at a time; dW sums over
- * (sample, spatial) in one reduction instead of sample by sample.
+ *  - Wide: ungrouped, non-pointwise layers at batch > 1 (the unrolled-
+ *    convolution lowering of Chellapilla et al., 2006). Every sample
+ *    unfolds once, straight into one {patch, batch * ospatial} column
+ *    matrix, and each pass is one GEMM over the whole batch — forward
+ *    W x col on top of the bias pre-fill; backward dW += dy x col^T
+ *    (col cached by forward, not re-unfolded) and dcol = W^T x dy,
+ *    folded back per sample by a row-strided col2im. Each output and
+ *    dx element keeps the per-sample path's ascending-k reduction, so
+ *    on the scalar arch y, dx and db are bit-identical to feeding the
+ *    samples one at a time; dW sums over (sample, spatial) in one
+ *    reduction instead of sample by sample.
+ *  - Per-sample GEMM: the other ungrouped layers — batch 1, and
+ *    pointwise (1x1/s1/p0) layers, which skip the unfold and multiply
+ *    the input directly with W packed once per batch. Their backward
+ *    recomputes the column buffer (cheaper than caching the k^2x
+ *    blow-up) for dW and folds the W^T dy product back with col2im.
+ *  - Direct grouped: every grouped layer (groups > 1) runs
+ *    kernels::conv_direct() on zero-padded input planes, with no
+ *    unfold and no GEMM. Each y element gets the bias and then its
+ *    taps in ascending (ic, ky, kx) order, each dx element its taps in
+ *    col2im's order — the sequences the scalar im2col + GEMM path made
+ *    — so y and dx carry the scalar bits on every arch; dW and db
+ *    accumulate sample by sample, bit-identical on every arch too.
  *
- * Everything else stays per (sample, group): batch 1, grouped
- * (depthwise) layers, whose GEMMs are too small to pay for a wide
- * gather, and pointwise (1x1/s1/p0) layers, which skip the unfold and
- * multiply the input directly with W packed once per batch. Their
- * backward recomputes the column buffer (cheaper than caching the k^2x
- * blow-up) for dW and folds the W^T dy product back with col2im.
- *
- * As a model's first layer (backward_params()) either path skips the
- * input gradient: no dcol GEMM and no col2im, the same dW and db bits.
+ * As a model's first layer (backward_params()) every path skips the
+ * input gradient, with the same dW and db bits.
  */
 #ifndef AUTOFL_NN_CONV2D_H
 #define AUTOFL_NN_CONV2D_H
@@ -69,14 +76,21 @@ class Conv2D : public Layer
     Tensor b_;  ///< {out_ch}
     Tensor dw_;
     Tensor db_;
-    Tensor x_cache_;  ///< Moved-in input (per-sample backward re-unfolds).
+    Tensor x_cache_;  ///< Moved-in input (backward re-reads it).
     AlignedFloatVec col_;   ///< Per-sample or infer() unfold scratch.
     AlignedFloatVec colw_;  ///< forward()'s wide columns, for backward().
     AlignedFloatVec dcol_;  ///< Backward column-gradient scratch.
     AlignedFloatVec outw_;  ///< Wide {out_ch, batch * ospatial} y or dy.
     AlignedFloatVec dwt_;   ///< Wide backward's dW^T {patch, out_ch}.
+    kernels::ConvScratch direct_;  ///< Grouped layers' working buffers.
 
-    /** Per-(sample, group) im2col + GEMM body. */
+    /** The direct grouped convolution's geometry for input @p x. */
+    kernels::ConvGeometry geometry(const Tensor &x) const;
+
+    /** Direct grouped convolution (groups > 1). */
+    Tensor convolve_direct(const Tensor &xin);
+
+    /** Per-sample im2col + GEMM body (ungrouped layers). */
     Tensor convolve(const Tensor &xin);
 
     /**
@@ -88,17 +102,17 @@ class Conv2D : public Layer
 
     /**
      * Accumulates dW and db; fills @p dx unless it is null, in which
-     * case the dcol GEMM and col2im are skipped.
+     * case the input gradient is skipped.
      */
     void backprop(const Tensor &grad_out, Tensor *dx);
 
     /** Batch-wide backprop() on forward()'s cached columns. */
     void backward_wide(const Tensor &grad_out, Tensor *dx);
 
-    /** Whether an input of this shape takes the batch-wide path. */
+    /** Whether an ungrouped input of this shape takes the wide path. */
     bool wide(const Tensor &x) const
     {
-        return x.dim(0) > 1 && groups_ == 1 && !pointwise();
+        return x.dim(0) > 1 && !pointwise();
     }
 
     /** Whether im2col is the identity (pointwise convolution). */

@@ -1,5 +1,6 @@
 #include "layers_basic.h"
 
+#include <algorithm>
 #include <limits>
 #include <sstream>
 
@@ -168,17 +169,17 @@ GlobalAvgPool::forward(Tensor x)
 {
     assert(x.rank() == 4);
     in_shape_ = x.shape();
-    const int batch = x.dim(0), ch = x.dim(1), ih = x.dim(2), iw = x.dim(3);
-    const float inv = 1.0f / static_cast<float>(ih * iw);
-    Tensor y({batch, ch});
-    for (int n = 0; n < batch; ++n) {
-        for (int c = 0; c < ch; ++c) {
-            float acc = 0.0f;
-            for (int yy = 0; yy < ih; ++yy)
-                for (int xx = 0; xx < iw; ++xx)
-                    acc += x.at4(n, c, yy, xx);
-            y.at2(n, c) = acc * inv;
-        }
+    const int area = x.dim(2) * x.dim(3);
+    const float inv = 1.0f / static_cast<float>(area);
+    Tensor y({x.dim(0), x.dim(1)});
+    // One contiguous plane per (sample, channel), summed in ascending
+    // (row, column) order.
+    const float *plane = x.data();
+    for (size_t i = 0; i < y.size(); ++i, plane += area) {
+        float acc = 0.0f;
+        for (int j = 0; j < area; ++j)
+            acc += plane[j];
+        y[i] = acc * inv;
     }
     return y;
 }
@@ -187,17 +188,11 @@ Tensor
 GlobalAvgPool::backward(const Tensor &grad_out)
 {
     Tensor dx(in_shape_);
-    const int batch = in_shape_[0], ch = in_shape_[1];
-    const int ih = in_shape_[2], iw = in_shape_[3];
-    const float inv = 1.0f / static_cast<float>(ih * iw);
-    for (int n = 0; n < batch; ++n) {
-        for (int c = 0; c < ch; ++c) {
-            const float g = grad_out.at2(n, c) * inv;
-            for (int yy = 0; yy < ih; ++yy)
-                for (int xx = 0; xx < iw; ++xx)
-                    dx.at4(n, c, yy, xx) = g;
-        }
-    }
+    const int area = in_shape_[2] * in_shape_[3];
+    const float inv = 1.0f / static_cast<float>(area);
+    float *plane = dx.data();
+    for (size_t i = 0; i < grad_out.size(); ++i, plane += area)
+        std::fill(plane, plane + area, grad_out[i] * inv);
     return dx;
 }
 

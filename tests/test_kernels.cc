@@ -317,6 +317,88 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvShape{16, 8, 16, 6, 3, 1, 1, 1})); // CNN conv2
 
 /**
+ * The direct grouped convolution on every arch the box runs gives the
+ * scalar table's bits: y, dx, dW and db. The shapes give rows and
+ * spans that are not a multiple of 8 or 16, k = 1, 3 and 5, more than
+ * one input channel per group, a channel multiplier, stride 2, pad 0,
+ * a single output row and planes too large to stage in one block.
+ * Without dx (a model's first layer) dW and db keep their bits. The
+ * reference runs on fresh scratch and the arches on one scratch shared
+ * by every shape, so stale contents of an earlier shape must not leak.
+ */
+TEST(DirectConv, BitIdenticalOnEveryArch)
+{
+    ArchGuard guard;
+    struct Case
+    {
+        int batch, in_ch, out_ch, groups, ih, iw, k, stride, pad;
+    };
+    const Case cases[] = {
+        {2, 4, 4, 4, 13, 13, 3, 1, 1}, {3, 6, 6, 2, 9, 9, 5, 1, 2},
+        {2, 8, 16, 8, 7, 7, 1, 1, 0},  {2, 4, 8, 2, 11, 10, 3, 2, 1},
+        {2, 5, 5, 5, 17, 17, 3, 1, 0}, {1, 3, 3, 3, 40, 37, 3, 1, 1},
+        {1, 2, 2, 2, 1, 37, 3, 1, 1},  {2, 2, 2, 2, 1, 1, 3, 1, 1},
+    };
+    Rng rng(55);
+    kernels::ConvScratch shared;
+    for (const Case &c : cases) {
+        const kernels::ConvGeometry g{c.batch, c.in_ch, c.out_ch, c.groups,
+                                      c.ih,    c.iw,    c.k,      c.stride,
+                                      c.pad};
+        const size_t xs = static_cast<size_t>(c.batch) * c.in_ch * c.ih * c.iw;
+        const size_t ys = static_cast<size_t>(c.batch) * c.out_ch * g.oh() *
+            g.ow();
+        const size_t ws =
+            static_cast<size_t>(c.out_ch) * (c.in_ch / c.groups) * c.k * c.k;
+        const auto x = random_vec(xs, rng);
+        auto w = random_vec(ws, rng);
+        for (size_t i = 0; i < ws; i += 3)
+            w[i] = 0.0f;  // Zero taps are skipped, not multiplied.
+        const auto bias = random_vec(static_cast<size_t>(c.out_ch), rng);
+        const auto dy = random_vec(ys, rng);
+        const auto dw0 = random_vec(ws, rng);  // Backward accumulates.
+        const auto db0 = random_vec(bias.size(), rng);
+
+        struct Pass
+        {
+            std::vector<float> y, dx, dw, db;
+        };
+        auto run = [&](KernelArch arch, bool with_dx,
+                       kernels::ConvScratch &scratch) {
+            kernels::set_kernel_arch(arch);
+            Pass p{std::vector<float>(ys), std::vector<float>(xs), dw0, db0};
+            kernels::conv_direct(g, x.data(), w.data(), bias.data(),
+                                 p.y.data(), scratch);
+            kernels::conv_direct_backward(g, x.data(), w.data(), dy.data(),
+                                          p.dw.data(), p.db.data(),
+                                          with_dx ? p.dx.data() : nullptr,
+                                          scratch);
+            return p;
+        };
+
+        kernels::ConvScratch fresh;
+        const Pass ref = run(KernelArch::Scalar, true, fresh);
+        for (KernelArch arch : kernels::supported_kernel_archs()) {
+            SCOPED_TRACE(::testing::Message()
+                         << kernels::kernel_arch_name(arch) << " B="
+                         << c.batch << " " << c.in_ch << "->" << c.out_ch
+                         << " g=" << c.groups << " " << c.ih << "x" << c.iw
+                         << " k=" << c.k << " s=" << c.stride
+                         << " p=" << c.pad);
+            const Pass got = run(arch, true, shared);
+            EXPECT_EQ(got.y, ref.y);
+            EXPECT_EQ(got.dx, ref.dx);
+            EXPECT_EQ(got.dw, ref.dw);
+            EXPECT_EQ(got.db, ref.db);
+
+            const Pass first = run(arch, false, shared);
+            EXPECT_EQ(first.dw, got.dw);
+            EXPECT_EQ(first.db, got.db);
+        }
+    }
+}
+
+/**
  * LSTM forward/backward agree across variants within tolerance, at a
  * small shape, at the model's two layers (B = 2 and 16, where the
  * recurrent step GEMMs take different paths) and at T = B = 1.

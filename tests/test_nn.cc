@@ -142,8 +142,8 @@ struct ConvFixture
     Tensor x, dy;
 
     ConvFixture(int batch, int in_ch, int out_ch, int side, int k, int pad,
-                int groups)
-        : layer(in_ch, out_ch, k, 1, pad, groups),
+                int groups, int stride = 1)
+        : layer(in_ch, out_ch, k, stride, pad, groups),
           x({batch, in_ch, side, side})
     {
         Rng rng(static_cast<uint64_t>(batch * 131 + in_ch * 7 + groups));
@@ -266,6 +266,169 @@ TEST(Conv2D, GroupedAndPointwiseStayPerSample)
     }
 }
 
+struct GroupedShape
+{
+    int in_ch, out_ch, side, k, stride, pad, groups;
+};
+
+/**
+ * Grouped layers: MobileNet's depthwise shapes, a channel multiplier,
+ * more than one input channel per group, stride 2 and pad 0.
+ */
+const GroupedShape kGroupedShapes[] = {
+    {8, 8, 12, 3, 1, 1, 8},   {24, 24, 6, 3, 1, 1, 24},
+    {32, 32, 3, 3, 1, 1, 32}, {4, 8, 7, 3, 1, 1, 4},
+    {6, 6, 6, 3, 1, 1, 2},    {8, 8, 9, 3, 2, 1, 8},
+    {6, 6, 10, 3, 2, 1, 2},   {8, 8, 6, 3, 1, 0, 8},
+};
+
+/**
+ * Test-only reference: the per-(sample, group) im2col + GEMM algorithm
+ * grouped layers ran before the direct kernel. Forward pre-fills y with
+ * the bias and accumulates W_g x col on top; backward adds each
+ * sample's dy row sums to db and dy_g x col^T to dW, and folds
+ * dcol = W_g^T x dy_g back into dx with col2im.
+ */
+ConvPass
+reference_grouped(const GroupedShape &s, Conv2D &layer, const Tensor &x,
+                  const Tensor &dy)
+{
+    const Tensor &w = *layer.params()[0];
+    const Tensor &b = *layer.params()[1];
+    const int batch = x.dim(0), side = s.side;
+    const int os = kernels::conv_out_size(side, s.k, s.stride, s.pad);
+    const int icg = s.in_ch / s.groups, ocg = s.out_ch / s.groups;
+    const int patch = icg * s.k * s.k, ospatial = os * os;
+    const size_t plane = static_cast<size_t>(side) * side;
+    std::vector<float> col(static_cast<size_t>(patch) * ospatial);
+    std::vector<float> dcol(col.size());
+    ConvPass r;
+    r.y.assign(static_cast<size_t>(batch) * s.out_ch * ospatial, 0.0f);
+    r.dx.assign(x.size(), 0.0f);
+    r.dw.assign(w.size(), 0.0f);
+    r.db.assign(b.size(), 0.0f);
+    for (int n = 0; n < batch; ++n) {
+        for (int g = 0; g < s.groups; ++g) {
+            const size_t xo = (static_cast<size_t>(n) * s.in_ch + g * icg) *
+                plane;
+            const size_t yo = (static_cast<size_t>(n) * s.out_ch + g * ocg) *
+                ospatial;
+            const float *wg = w.data() + static_cast<size_t>(g) * ocg * patch;
+            kernels::im2col(x.data() + xo, icg, side, side, s.k, s.stride,
+                            s.pad, col.data(), ospatial);
+            for (int ocl = 0; ocl < ocg; ++ocl)
+                std::fill_n(r.y.begin() + yo + ocl * ospatial, ospatial,
+                            b[static_cast<size_t>(g * ocg + ocl)]);
+            kernels::gemm(ocg, ospatial, patch, wg, patch, col.data(),
+                          ospatial, r.y.data() + yo, ospatial,
+                          /*accumulate=*/true);
+
+            const float *dyg = dy.data() + yo;
+            for (int ocl = 0; ocl < ocg; ++ocl)
+                for (int i = 0; i < ospatial; ++i)
+                    r.db[g * ocg + ocl] += dyg[ocl * ospatial + i];
+            kernels::gemm_nt(ocg, patch, ospatial, dyg, ospatial, col.data(),
+                             ospatial, r.dw.data() + g * ocg * patch, patch,
+                             /*accumulate=*/true);
+            kernels::gemm_tn(patch, ospatial, ocg, wg, patch, dyg, ospatial,
+                             dcol.data(), ospatial);
+            kernels::col2im_add(dcol.data(), icg, side, side, s.k, s.stride,
+                                s.pad, r.dx.data() + xo, ospatial);
+        }
+    }
+    return r;
+}
+
+/**
+ * The direct grouped kernel against the im2col + GEMM reference run on
+ * the scalar arch: y, dx, dW and db bit-identical, on scalar and on the
+ * native arch alike (the kernel's sequence is the same on every arch).
+ * forward() and infer() give the same bits, and an infer() of another
+ * batch between forward() and backward() changes nothing.
+ */
+TEST(Conv2D, DirectGroupedMatchesIm2colReference)
+{
+    const kernels::KernelArch native = kernels::current_kernel_arch();
+    for (int batch : {1, 4, 16}) {
+        for (const GroupedShape &s : kGroupedShapes) {
+            ConvFixture f(batch, s.in_ch, s.out_ch, s.side, s.k, s.pad,
+                          s.groups, s.stride);
+            ConvPass ref;
+            {
+                testing::ScopedKernelArch scalar(kernels::KernelArch::Scalar);
+                ref = reference_grouped(s, f.layer, f.x, f.dy);
+            }
+            for (kernels::KernelArch arch :
+                 {kernels::KernelArch::Scalar, native}) {
+                testing::ScopedKernelArch scoped(arch);
+                SCOPED_TRACE(::testing::Message()
+                             << kernels::kernel_arch_name(arch) << " B="
+                             << batch << " " << s.in_ch << "->" << s.out_ch
+                             << " side=" << s.side << " s=" << s.stride
+                             << " p=" << s.pad << " g=" << s.groups);
+                const ConvPass got = run_batched(f.layer, f.x, f.dy);
+                EXPECT_EQ(first_diff(got.y, ref.y), -1);
+                EXPECT_EQ(first_diff(got.dx, ref.dx), -1);
+                EXPECT_EQ(first_diff(got.dw, ref.dw), -1);
+                EXPECT_EQ(first_diff(got.db, ref.db), -1);
+                EXPECT_EQ(first_diff(values(f.layer.infer(f.x)), got.y), -1);
+
+                Tensor other({batch + 3, s.in_ch, s.side, s.side});
+                Rng rng(79);
+                testing::randomize(other, rng, 1.0);
+                const ConvPass mixed =
+                    run_batched(f.layer, f.x, f.dy, &other);
+                EXPECT_EQ(first_diff(mixed.y, got.y), -1);
+                EXPECT_EQ(first_diff(mixed.dx, got.dx), -1);
+                EXPECT_EQ(first_diff(mixed.dw, got.dw), -1);
+                EXPECT_EQ(first_diff(mixed.db, got.db), -1);
+            }
+        }
+    }
+}
+
+/**
+ * A zero weight skips its tap, as the scalar GEMM skips a zero
+ * multiplier: where it meets an inf input (or an inf upstream gradient)
+ * y and dx stay finite exactly where the reference's do, and every
+ * arch gives the reference's bits.
+ */
+TEST(Conv2D, DirectGroupedZeroTapsOverInfMatchReference)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    for (const GroupedShape &s :
+         {GroupedShape{4, 4, 5, 3, 1, 1, 4}, GroupedShape{4, 8, 5, 3, 1, 1, 4},
+          GroupedShape{6, 6, 7, 3, 2, 1, 2}}) {
+        ConvFixture f(2, s.in_ch, s.out_ch, s.side, s.k, s.pad, s.groups,
+                      s.stride);
+        Tensor &w = *f.layer.params()[0];
+        for (size_t i = 0; i < w.size(); i += 2)
+            w[i] = 0.0f;
+        f.x[7] = inf;
+        f.x[f.x.size() / 2] = -inf;
+        f.dy[3] = inf;
+        f.dy[f.dy.size() - 5] = -inf;
+        ConvPass ref;
+        {
+            testing::ScopedKernelArch scalar(kernels::KernelArch::Scalar);
+            ref = reference_grouped(s, f.layer, f.x, f.dy);
+        }
+        for (kernels::KernelArch arch : kernels::supported_kernel_archs()) {
+            testing::ScopedKernelArch scoped(arch);
+            SCOPED_TRACE(::testing::Message()
+                         << kernels::kernel_arch_name(arch) << " "
+                         << s.in_ch << "->" << s.out_ch << " s=" << s.stride);
+            const ConvPass got = run_batched(f.layer, f.x, f.dy);
+            EXPECT_EQ(first_diff(got.y, ref.y), -1);
+            EXPECT_EQ(first_diff(got.dx, ref.dx), -1);
+            EXPECT_EQ(first_diff(got.db, ref.db), -1);
+            if (arch == kernels::KernelArch::Scalar) {
+                EXPECT_EQ(first_diff(got.dw, ref.dw), -1);
+            }
+        }
+    }
+}
+
 TEST(ReLU, ClampsNegatives)
 {
     ReLU r;
@@ -353,6 +516,40 @@ TEST(GlobalAvgPool, Averages)
     Tensor y = p.forward(x);
     EXPECT_FLOAT_EQ(y.at2(0, 0), 2.5f);
     EXPECT_FLOAT_EQ(y.at2(0, 1), 10.0f);
+}
+
+/**
+ * The contiguous per-plane loops against the element-indexed loops they
+ * replaced, on a fixed tensor: each plane sums in the same ascending
+ * (row, column) order, so forward and backward are bit-identical.
+ */
+TEST(GlobalAvgPool, MatchesIndexedLoopsBitwise)
+{
+    Tensor x({3, 5, 7, 6});
+    Rng rng(81);
+    testing::randomize(x, rng, 100.0);
+    Tensor dy({3, 5});
+    testing::randomize(dy, rng, 3.0);
+
+    Tensor want_y({3, 5});
+    Tensor want_dx(x.shape());
+    const float inv = 1.0f / static_cast<float>(7 * 6);
+    for (int n = 0; n < 3; ++n)
+        for (int c = 0; c < 5; ++c) {
+            float acc = 0.0f;
+            for (int yy = 0; yy < 7; ++yy)
+                for (int xx = 0; xx < 6; ++xx)
+                    acc += x.at4(n, c, yy, xx);
+            want_y.at2(n, c) = acc * inv;
+            const float g = dy.at2(n, c) * inv;
+            for (int yy = 0; yy < 7; ++yy)
+                for (int xx = 0; xx < 6; ++xx)
+                    want_dx.at4(n, c, yy, xx) = g;
+        }
+
+    GlobalAvgPool p;
+    EXPECT_EQ(first_diff(values(p.forward(x)), values(want_y)), -1);
+    EXPECT_EQ(first_diff(values(p.backward(dy)), values(want_dx)), -1);
 }
 
 TEST(Flatten, CollapsesTrailingDims)
