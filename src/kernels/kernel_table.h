@@ -40,12 +40,22 @@ struct KernelTable
     // gemm_mr x gemm_nr register tile from contiguous panels. apanel
     // holds kc groups of gemm_mr row values (one per k step), bpanel
     // kc groups of gemm_nr column values; both are zero-padded to full
-    // tile width by the packing routines, so the microkernel never
-    // sees a ragged edge (the shared driver stages edge tiles through
-    // a scratch tile). Null when the variant has no packed path — the
+    // tile width by pack_panels, so the microkernel never sees a
+    // ragged edge (the shared driver stages edge tiles through a
+    // scratch tile). Null when the variant has no packed path — the
     // scalar table, whose direct loops are the bit-exactness baseline.
     void (*gemm_micro)(int kc, const float *apanel, const float *bpanel,
                        float *c, int ldc, bool accumulate) = nullptr;
+    // Panel packing for the packed driver and the prepacked handles.
+    // Element (x, kk) of the source block sits at src[x * xs + kk * ks];
+    // out receives ceil(count / w) panels of kb groups of w values (x
+    // ascending), zero past count. A panels pack rows (w = gemm_mr), B
+    // panels columns (w = gemm_nr). Pure data movement, so the panels,
+    // and every GEMM result, are bit-identical across variants; it has
+    // no parity tier of its own. Callers pass xs == 1 or ks == 1, and
+    // SIMD entries may assume w <= 8 or w % 8 == 0.
+    void (*pack_panels)(int count, int kb, const float *src, size_t xs,
+                        size_t ks, int w, float *out) = nullptr;
     // Register tile shape and cache-blocking parameters (elements).
     // Invariants the shared driver relies on: gemm_mc % gemm_mr == 0
     // and gemm_nc % gemm_nr == 0 (prepacked-operand offsets assume

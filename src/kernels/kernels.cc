@@ -417,7 +417,8 @@ scalar_conv_taps(int rows, int cols, int pitch, int step, int terms,
 // Shared BLIS-style 5-loop driver parameterized by the active table's
 // register-tile geometry (gemm_mr x gemm_nr) and cache blocking
 // (gemm_mc / gemm_kc / gemm_nc). A is repacked into contiguous MR-row
-// panels, B into NR-column panels, so the microkernel streams both
+// panels, B into NR-column panels (the table's pack_panels entry, the
+// same floats on every arch), so the microkernel streams both
 // with unit stride regardless of the source layout (plain, ^T via
 // strides, or a prepacked handle). Panels are zero-padded to full tile
 // width; ragged C edges are staged through a scratch tile. Reduction
@@ -439,50 +440,58 @@ round_up(int v, int mult)
 }
 
 /**
- * Pack an mb x kb block of A (element (i, kk) at a[i*rs + kk*cs]) into
- * ceil(mb/mr) panels of kb groups of mr row values, zero-padded.
+ * The scalar pack_panels entry (see KernelTable): one load per element,
+ * whole panel rows copied where the panel index is contiguous.
  */
 void
-pack_a_block(int mb, int kb, const float *a, size_t rs, size_t cs, int mr,
-             float *out)
+scalar_pack_panels(int count, int kb, const float *src, size_t xs, size_t ks,
+                   int w, float *out)
 {
-    for (int p = 0; p < mb; p += mr) {
-        const int rows = std::min(mr, mb - p);
-        const float *ablk = a + static_cast<size_t>(p) * rs;
+    for (int p = 0; p < count; p += w) {
+        const int valid = std::min(w, count - p);
+        const float *blk = src + static_cast<size_t>(p) * xs;
         for (int kk = 0; kk < kb; ++kk) {
-            const float *src = ablk + static_cast<size_t>(kk) * cs;
-            for (int r = 0; r < rows; ++r)
-                *out++ = src[static_cast<size_t>(r) * rs];
-            for (int r = rows; r < mr; ++r)
-                *out++ = 0.0f;
-        }
-    }
-}
-
-/**
- * Pack a kb x nb block of B (element (kk, j) at b[kk*rs + j*cs]) into
- * ceil(nb/nr) panels of kb groups of nr column values, zero-padded.
- */
-void
-pack_b_block(int kb, int nb, const float *b, size_t rs, size_t cs, int nr,
-             float *out)
-{
-    for (int p = 0; p < nb; p += nr) {
-        const int cols = std::min(nr, nb - p);
-        const float *bblk = b + static_cast<size_t>(p) * cs;
-        for (int kk = 0; kk < kb; ++kk) {
-            const float *src = bblk + static_cast<size_t>(kk) * rs;
-            if (cs == 1 && cols == nr) {
-                std::memcpy(out, src, sizeof(float) * static_cast<size_t>(nr));
-                out += nr;
+            const float *s = blk + static_cast<size_t>(kk) * ks;
+            if (xs == 1 && valid == w) {
+                std::memcpy(out, s, sizeof(float) * static_cast<size_t>(w));
+                out += w;
             } else {
-                for (int j = 0; j < cols; ++j)
-                    *out++ = src[static_cast<size_t>(j) * cs];
-                for (int j = cols; j < nr; ++j)
+                for (int x = 0; x < valid; ++x)
+                    *out++ = s[static_cast<size_t>(x) * xs];
+                for (int x = valid; x < w; ++x)
                     *out++ = 0.0f;
             }
         }
     }
+}
+
+/** The table's pack_panels entry, or the scalar one when null. */
+inline auto
+pack_entry(const KernelTable &t)
+{
+    return t.pack_panels != nullptr ? t.pack_panels : scalar_pack_panels;
+}
+
+/**
+ * Pack an mb x kb block of A (element (i, kk) at a[i*rs + kk*cs]) into
+ * ceil(mb/mr) row panels.
+ */
+inline void
+pack_a_block(const KernelTable &t, int mb, int kb, const float *a, size_t rs,
+             size_t cs, float *out)
+{
+    pack_entry(t)(mb, kb, a, rs, cs, t.gemm_mr, out);
+}
+
+/**
+ * Pack a kb x nb block of B (element (kk, j) at b[kk*rs + j*cs]) into
+ * ceil(nb/nr) column panels.
+ */
+inline void
+pack_b_block(const KernelTable &t, int kb, int nb, const float *b, size_t rs,
+             size_t cs, float *out)
+{
+    pack_entry(t)(nb, kb, b, cs, rs, t.gemm_nr, out);
 }
 
 /** Sweep one packed (mb x kb) x (kb x nb) macro block over C. */
@@ -584,10 +593,10 @@ packed_gemm_driver(const KernelTable &t, int m, int n, int k,
                 bp = ob.packed + static_cast<size_t>(jc) * k +
                      static_cast<size_t>(rnd_nb) * pc;
             } else {
-                pack_b_block(kb, nb,
+                pack_b_block(t, kb, nb,
                              ob.raw + static_cast<size_t>(pc) * ob.rs +
                                  static_cast<size_t>(jc) * ob.cs,
-                             ob.rs, ob.cs, nr, bpack.data());
+                             ob.rs, ob.cs, bpack.data());
                 bp = bpack.data();
             }
             for (int ic = 0; ic < m; ic += mc) {
@@ -597,10 +606,10 @@ packed_gemm_driver(const KernelTable &t, int m, int n, int k,
                     ap = oa.packed + static_cast<size_t>(rnd_m) * pc +
                          static_cast<size_t>(ic) * kb;
                 } else {
-                    pack_a_block(mb, kb,
+                    pack_a_block(t, mb, kb,
                                  oa.raw + static_cast<size_t>(ic) * oa.rs +
                                      static_cast<size_t>(pc) * oa.cs,
-                                 oa.rs, oa.cs, mr, apack.data());
+                                 oa.rs, oa.cs, apack.data());
                     ap = apack.data();
                 }
                 macro_block(t, mb, nb, kb, ap, bp,
@@ -651,6 +660,7 @@ make_scalar_table()
         k.gemm = scalar_gemm;
         k.gemm_tn = scalar_gemm_tn;
         k.gemm_nt = scalar_gemm_nt;
+        k.pack_panels = scalar_pack_panels;
         k.axpy = scalar_axpy;
         k.scale = scalar_scale;
         k.vadd = scalar_vadd;
@@ -804,6 +814,22 @@ gemm_nt(int m, int n, int k, const float *a, int lda, const float *b,
 
 // ------------------------------------------- prepacked GEMM operands
 
+void
+PackedGemm::alloc_floats(size_t n, bool align)
+{
+    // Plain new, aligned by hand, and exactly n floats where alignment
+    // buys nothing (the row-major copy). A B=16 MobileNet infer() frees
+    // its activations into the heap top; whether glibc then trims it,
+    // re-faulting ~37 pages per call, hinges on the size and placement
+    // of per-call blocks like this one, and aligned new or a padded
+    // copy here tipped it into trimming.
+    buf_.reset(new float[align ? n + 15 : n]);
+    data_ = align ? reinterpret_cast<float *>(
+                        (reinterpret_cast<uintptr_t>(buf_.get()) + 63) &
+                        ~uintptr_t{63})
+                  : buf_.get();
+}
+
 PackedGemm
 pack_gemm_a(int m, int k, const float *a, int lda, bool a_transposed)
 {
@@ -819,16 +845,17 @@ pack_gemm_a(int m, int k, const float *a, int lda, bool a_transposed)
     if (t != nullptr && t->gemm_micro != nullptr && k >= kPackedMinK &&
         m >= t->gemm_mr) {
         p.panels_ = true;
-        p.buf_.resize(static_cast<size_t>(round_up(m, t->gemm_mr)) * k);
-        float *out = p.buf_.data();
+        p.alloc_floats(static_cast<size_t>(round_up(m, t->gemm_mr)) * k,
+                       true);
+        float *out = p.data_;
         for (int pc = 0; pc < k; pc += t->gemm_kc) {
             const int kb = std::min(t->gemm_kc, k - pc);
             for (int ic = 0; ic < m; ic += t->gemm_mc) {
                 const int mb = std::min(t->gemm_mc, m - ic);
-                pack_a_block(mb, kb,
+                pack_a_block(*t, mb, kb,
                              a + static_cast<size_t>(ic) * rs +
                                  static_cast<size_t>(pc) * cs,
-                             rs, cs, t->gemm_mr, out);
+                             rs, cs, out);
                 out += static_cast<size_t>(round_up(mb, t->gemm_mr)) * kb;
             }
         }
@@ -837,9 +864,9 @@ pack_gemm_a(int m, int k, const float *a, int lda, bool a_transposed)
     // Below the cutoff (or scalar arch): a contiguous row-major copy;
     // compute calls route through the ordinary dispatcher, so the
     // scalar path keeps the seed-exact direct loops.
-    p.buf_.resize(static_cast<size_t>(m) * k);
+    p.alloc_floats(static_cast<size_t>(m) * k, false);
     for (int i = 0; i < m; ++i) {
-        float *dst = p.buf_.data() + static_cast<size_t>(i) * k;
+        float *dst = p.data_ + static_cast<size_t>(i) * k;
         const float *src = a + static_cast<size_t>(i) * rs;
         if (cs == 1)
             std::memcpy(dst, src, sizeof(float) * static_cast<size_t>(k));
@@ -870,16 +897,16 @@ pack_gemm_b(int m, int k, int n, const float *b, int ldb, bool b_transposed)
     const size_t rs = b_transposed ? 1 : static_cast<size_t>(ldb);
     const size_t cs = b_transposed ? static_cast<size_t>(ldb) : 1;
     p.panels_ = true;
-    p.buf_.resize(static_cast<size_t>(round_up(n, t->gemm_nr)) * k);
-    float *out = p.buf_.data();
+    p.alloc_floats(static_cast<size_t>(round_up(n, t->gemm_nr)) * k, true);
+    float *out = p.data_;
     for (int jc = 0; jc < n; jc += t->gemm_nc) {
         const int nb = std::min(t->gemm_nc, n - jc);
         for (int pc = 0; pc < k; pc += t->gemm_kc) {
             const int kb = std::min(t->gemm_kc, k - pc);
-            pack_b_block(kb, nb,
+            pack_b_block(*t, kb, nb,
                          b + static_cast<size_t>(pc) * rs +
                              static_cast<size_t>(jc) * cs,
-                         rs, cs, t->gemm_nr, out);
+                         rs, cs, out);
             out += static_cast<size_t>(round_up(nb, t->gemm_nr)) * kb;
         }
     }
@@ -895,13 +922,13 @@ gemm_packed_a(const PackedGemm &a, int n, const float *b, int ldb, float *c,
     if (m <= 0 || n <= 0)
         return;
     if (!a.panels_) {
-        gemm(m, n, k, a.buf_.data(), k, b, ldb, c, ldc, accumulate);
+        gemm(m, n, k, a.data_, k, b, ldb, c, ldc, accumulate);
         return;
     }
     // Compute with the arch the panels were laid out for, so a handle
     // outlives any mid-flight set_kernel_arch flip.
     packed_gemm_driver(*table_for(a.arch_), m, n, k,
-                       OperandA{nullptr, 0, 0, a.buf_.data()},
+                       OperandA{nullptr, 0, 0, a.data_},
                        OperandB{b, static_cast<size_t>(ldb), 1, nullptr}, c,
                        ldc, accumulate);
 }
@@ -923,7 +950,7 @@ gemm_packed_b(int m, const float *a, int lda, const PackedGemm &b, float *c,
     }
     packed_gemm_driver(*table_for(b.arch_), m, n, k,
                        OperandA{a, static_cast<size_t>(lda), 1, nullptr},
-                       OperandB{nullptr, 0, 0, b.buf_.data()}, c, ldc,
+                       OperandB{nullptr, 0, 0, b.data_}, c, ldc,
                        accumulate);
 }
 

@@ -27,6 +27,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "kernels/arch.h"
@@ -119,7 +120,14 @@ class PackedGemm
                               const PackedGemm &b, float *c, int ldc,
                               bool accumulate);
 
-    std::vector<float> buf_;
+    /**
+     * Point data_ at @p n uninitialized floats (the pack writes every
+     * element, padding included), 64-byte aligned when @p align.
+     */
+    void alloc_floats(size_t n, bool align);
+
+    std::unique_ptr<float[]> buf_;  ///< Owns the block data_ points into.
+    float *data_ = nullptr;
     const float *borrowed_ = nullptr;  ///< Unpacked B: the caller's operand.
     int ld_ = 0;                       ///< Leading dimension of borrowed_.
     bool transposed_ = false;          ///< borrowed_ is stored {n, k}.

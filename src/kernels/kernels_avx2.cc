@@ -18,6 +18,9 @@
  *    operation sequence, so they are bit-identical to the scalar table.
  *    So does the direct-convolution kernel (conv_taps), which the
  *    AVX-512 table inherits.
+ *  - Panel packing (pack_panels) moves the scalar entry's floats to
+ *    the same places, so its panels are bit-identical too; the AVX-512
+ *    table inherits it for its 8 x 32 tile.
  */
 #include "kernels/kernel_table.h"
 
@@ -206,6 +209,130 @@ avx2_micro_6x16(int kc, const float *ap, const float *bp, float *c, int ldc,
     _mm256_storeu_ps(c + 4 * static_cast<size_t>(ldc) + 8, c41);
     _mm256_storeu_ps(c + 5 * static_cast<size_t>(ldc), c50);
     _mm256_storeu_ps(c + 5 * static_cast<size_t>(ldc) + 8, c51);
+}
+
+// ---------------------------------------------------- panel packing
+// The pack_panels entry (see KernelTable), shared by the 6 x 16 tile
+// here and the AVX-512 table's 8 x 32. It moves the scalar entry's
+// floats to the same places, zero padding included, so the panels are
+// bit-identical; only the loads and stores are wider.
+
+/** Lanes [0, rem) set: the maskload/maskstore mask of a ragged block. */
+inline __m256i
+lanes_below(int rem)
+{
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(rem),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+/**
+ * Store the first @p lanes of @p v at @p p, where @p room floats of the
+ * panel remain from @p p on. Panels fill in ascending order, so while
+ * the panel has room a full store is safe: the lanes past @p lanes land
+ * where a later store writes. The panel's last store is masked.
+ */
+inline void
+store_lanes(float *p, __m256 v, int lanes, std::ptrdiff_t room)
+{
+    if (lanes == 8 || room >= 8)
+        _mm256_storeu_ps(p, v);
+    else
+        _mm256_maskstore_ps(p, lanes_below(lanes), v);
+}
+
+/** Four floats from @p lo and @p hi (each zeros when null), as one vector. */
+inline __m256
+load_pair(const float *lo, const float *hi)
+{
+    const __m128 l = lo != nullptr ? _mm_loadu_ps(lo) : _mm_setzero_ps();
+    const __m128 h = hi != nullptr ? _mm_loadu_ps(hi) : _mm_setzero_ps();
+    return _mm256_insertf128_ps(_mm256_castps128_ps256(l), h, 1);
+}
+
+/**
+ * One panel whose source rows run along k (ks == 1): the A operand of
+ * gemm/gemm_nt, the B operand of gemm_nt. Each block of 8 panel rows x
+ * 4 k is loaded as row pairs (i | i + 4) and transposed in registers
+ * into the 4 k groups; rows past @p valid load as zeros.
+ */
+void
+pack_panel_kmajor(int valid, int kb, const float *src, size_t xs, int w,
+                  float *out)
+{
+    const float *end = out + static_cast<size_t>(w) * kb;
+    for (int xb = 0; xb < w; xb += 8) {
+        const float *row[8];
+        for (int i = 0; i < 8; ++i)
+            row[i] = xb + i < valid ? src + static_cast<size_t>(xb + i) * xs
+                                    : nullptr;
+        const int lanes = std::min(8, w - xb);
+        int kk = 0;
+        for (; kk + 4 <= kb; kk += 4) {
+            __m256 q[4];
+            for (int i = 0; i < 4; ++i)
+                q[i] = load_pair(row[i] != nullptr ? row[i] + kk : nullptr,
+                                 row[i + 4] != nullptr ? row[i + 4] + kk
+                                                       : nullptr);
+            const __m256 t0 = _mm256_unpacklo_ps(q[0], q[1]);
+            const __m256 t1 = _mm256_unpackhi_ps(q[0], q[1]);
+            const __m256 t2 = _mm256_unpacklo_ps(q[2], q[3]);
+            const __m256 t3 = _mm256_unpackhi_ps(q[2], q[3]);
+            const __m256 col[4] = {
+                _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0)),
+                _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2)),
+                _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0)),
+                _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2)),
+            };
+            for (int j = 0; j < 4; ++j) {
+                float *dst = out + static_cast<size_t>(kk + j) * w + xb;
+                store_lanes(dst, col[j], lanes, end - dst);
+            }
+        }
+        for (; kk < kb; ++kk)
+            for (int i = 0; i < lanes; ++i)
+                out[static_cast<size_t>(kk) * w + xb + i] =
+                    row[i] != nullptr ? row[i][kk] : 0.0f;
+    }
+}
+
+/**
+ * One panel whose source rows run along the panel index (xs == 1): the
+ * A operand of gemm_tn, the B operand of gemm. Whole vectors per k
+ * group; a ragged panel's missing floats load as zeros.
+ */
+void
+pack_panel_xmajor(int valid, int kb, const float *src, size_t ks, int w,
+                  float *out)
+{
+    const float *end = out + static_cast<size_t>(w) * kb;
+    for (int kk = 0; kk < kb; ++kk) {
+        const float *s = src + static_cast<size_t>(kk) * ks;
+        float *o = out + static_cast<size_t>(kk) * w;
+        for (int xb = 0; xb < w; xb += 8) {
+            const int have = valid - xb;
+            const __m256 v =
+                have >= 8 ? _mm256_loadu_ps(s + xb)
+                : have > 0
+                    ? _mm256_maskload_ps(s + xb, lanes_below(have))
+                    : _mm256_setzero_ps();
+            store_lanes(o + xb, v, std::min(8, w - xb), end - (o + xb));
+        }
+    }
+}
+
+void
+avx2_pack_panels(int count, int kb, const float *src, size_t xs, size_t ks,
+                 int w, float *out)
+{
+    for (int p = 0; p < count; p += w) {
+        const int valid = std::min(w, count - p);
+        const float *panel = src + static_cast<size_t>(p) * xs;
+        if (xs == 1)
+            pack_panel_xmajor(valid, kb, panel, ks, w, out);
+        else
+            pack_panel_kmajor(valid, kb, panel, xs, w, out);
+        out += static_cast<size_t>(w) * kb;
+    }
 }
 
 /** gemm_tn: A stored {k, m}; element (i, kk) lives at a[kk * lda + i]. */
@@ -423,14 +550,34 @@ avx2_relu_forward(size_t n, float *y, uint8_t *mask)
 {
     const __m256 zero = _mm256_setzero_ps();
     size_t i = 0;
+    for (; i + 32 <= n; i += 32) {
+        __m256i gt[4];
+        for (int v = 0; v < 4; ++v) {
+            const __m256 x = _mm256_loadu_ps(y + i + 8 * v);
+            const __m256 m = _mm256_cmp_ps(x, zero, _CMP_GT_OQ);
+            _mm256_storeu_ps(y + i + 8 * v, _mm256_and_ps(x, m));
+            gt[v] = _mm256_castps_si256(m);
+        }
+        // Narrow the -1/0 lanes to bytes. The packs work per 128-bit
+        // half, leaving 4-byte groups in the order v0[0:4] v1[0:4]
+        // v2[0:4] v3[0:4] v0[4:8] ...; the permute restores lane order.
+        const __m256i b = _mm256_packs_epi16(_mm256_packs_epi32(gt[0], gt[1]),
+                                             _mm256_packs_epi32(gt[2], gt[3]));
+        const __m256i ordered = _mm256_permutevar8x32_epi32(
+            b, _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7));
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(mask + i),
+                            _mm256_and_si256(ordered, _mm256_set1_epi8(1)));
+    }
     for (; i + 8 <= n; i += 8) {
-        const __m256 v = _mm256_loadu_ps(y + i);
-        const __m256 gt = _mm256_cmp_ps(v, zero, _CMP_GT_OQ);
-        _mm256_storeu_ps(y + i, _mm256_and_ps(v, gt));
-        const int bits = _mm256_movemask_ps(gt);
-        for (int l = 0; l < 8; ++l)
-            mask[i + static_cast<size_t>(l)] =
-                static_cast<uint8_t>((bits >> l) & 1);
+        const __m256 x = _mm256_loadu_ps(y + i);
+        const __m256 m = _mm256_cmp_ps(x, zero, _CMP_GT_OQ);
+        _mm256_storeu_ps(y + i, _mm256_and_ps(x, m));
+        const __m256i gt = _mm256_castps_si256(m);
+        const __m128i w = _mm_packs_epi32(_mm256_castsi256_si128(gt),
+                                          _mm256_extracti128_si256(gt, 1));
+        _mm_storel_epi64(reinterpret_cast<__m128i *>(mask + i),
+                         _mm_and_si128(_mm_packs_epi16(w, w),
+                                       _mm_set1_epi8(1)));
     }
     for (; i < n; ++i) {
         if (y[i] > 0.0f) {
@@ -445,7 +592,16 @@ avx2_relu_forward(size_t n, float *y, uint8_t *mask)
 void
 avx2_relu_backward(size_t n, const uint8_t *mask, float *dy)
 {
-    for (size_t i = 0; i < n; ++i)
+    const __m256i zero = _mm256_setzero_si256();
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        const __m256i m = _mm256_cvtepu8_epi32(
+            _mm_loadl_epi64(reinterpret_cast<const __m128i *>(mask + i)));
+        const __m256 off = _mm256_castsi256_ps(_mm256_cmpeq_epi32(m, zero));
+        _mm256_storeu_ps(dy + i,
+                         _mm256_andnot_ps(off, _mm256_loadu_ps(dy + i)));
+    }
+    for (; i < n; ++i)
         if (!mask[i])
             dy[i] = 0.0f;
 }
@@ -939,14 +1095,6 @@ avx2_lstm_gate_backward(int batch, int hidden, const float *z,
 
 // ------------------------------------------------ direct convolution
 
-/** Lanes [0, rem) set: the maskload/maskstore mask of a ragged block. */
-inline __m256i
-lanes_below(int rem)
-{
-    return _mm256_cmpgt_epi32(_mm256_set1_epi32(rem),
-                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-}
-
 /** Span floats conv_taps stages on the stack per block of rows. */
 constexpr int kConvSpan = 1024;
 
@@ -1058,6 +1206,7 @@ avx2_kernel_table()
         k.gemm_mc = 72;    // A block 72 x 256 ~ 72 KB, L2-resident.
         k.gemm_kc = 256;   // B panel 256 x 16 = 16 KB, L1-resident.
         k.gemm_nc = 1024;  // B block 256 x 1024 = 1 MB, LLC-resident.
+        k.pack_panels = avx2_pack_panels;
         k.axpy = avx2_axpy;
         k.scale = avx2_scale;
         k.vadd = avx2_vadd;

@@ -9,6 +9,9 @@
  * ALL variants; GEMM/conv variants agree within 1e-4 relative.
  */
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -186,51 +189,81 @@ INSTANTIATE_TEST_SUITE_P(
                       GemmShape{3, 128, 40}, GemmShape{13, 21, 121},
                       GemmShape{32, 48, 64}));
 
-/** Elementwise kernels are bit-identical across every variant. */
+/** Bit patterns, so NaN lanes compare equal when their bits do. */
+std::vector<uint32_t>
+float_bits(const std::vector<float> &v)
+{
+    std::vector<uint32_t> bits(v.size());
+    std::memcpy(bits.data(), v.data(), sizeof(float) * v.size());
+    return bits;
+}
+
+/**
+ * Elementwise kernels are bit-identical across every variant, at
+ * lengths around the 8- and 32-lane blocks and their tails.
+ */
 TEST(ElementwiseParity, BitIdenticalAcrossVariants)
 {
     if (!has_simd())
         GTEST_SKIP() << "no SIMD variant on this CPU";
     ArchGuard guard;
     Rng rng(46);
-    const size_t n = 1003;  // Odd size: exercises the vector tails.
-    const auto x = random_vec(n, rng);
-    const auto y0 = random_vec(n, rng);
-    const auto anchor = random_vec(n, rng);
+    // ReLU edge values: signed zeros, a denormal, infinities, NaNs.
+    const float specials[] = {
+        0.0f, -0.0f, 1e-45f, -1e-45f, std::numeric_limits<float>::infinity(),
+        -std::numeric_limits<float>::infinity(),
+        std::numeric_limits<float>::quiet_NaN(),
+        -std::numeric_limits<float>::quiet_NaN(), 2.5f, -2.5f, 0.0f};
+    for (size_t n : {1, 7, 8, 9, 31, 33, 1003}) {
+        const int cols = static_cast<int>(std::min<size_t>(n, 59));
+        const int rows = static_cast<int>(n) / cols;
+        const auto x = random_vec(n, rng);
+        const auto y0 = random_vec(n, rng);
+        const auto anchor = random_vec(n, rng);
+        std::vector<float> edge(n);
+        for (size_t i = 0; i < n; ++i)
+            edge[i] = specials[(i * 7) % std::size(specials)];
 
-    auto run_all = [&](KernelArch arch) {
-        kernels::set_kernel_arch(arch);
-        std::vector<float> y = y0, v(n, 0.1f), w = y0;
-        std::vector<uint8_t> mask(n);
-        std::vector<double> acc(n, 0.25);
-        kernels::axpy(n, 0.37f, x.data(), y.data());
-        kernels::scale(n, -1.21f, y.data());
-        kernels::vadd(n, x.data(), y.data());
-        kernels::vsub(n, y0.data(), y.data());
-        kernels::add_bias_rows(17, 59, x.data(), y.data());
-        kernels::accumulate_rows(17, 59, x.data(), y.data());
-        kernels::relu_forward(n, y.data(), mask.data());
-        kernels::relu_backward(n, mask.data(), y.data());
-        kernels::sgd_step(n, w.data(), x.data(), v.data(), 0.05f, 1e-4f,
-                          0.9f);
-        kernels::sgd_step_prox(n, w.data(), x.data(), v.data(),
-                               anchor.data(), 0.05f, 1e-4f, 0.9f, 0.01f);
-        kernels::axpy_f64(n, 0.125, x.data(), acc.data());
-        kernels::diff_axpy_f64(n, 0.5, w.data(), x.data(), acc.data());
-        std::vector<float> cast(n);
-        kernels::cast_f64_to_f32(n, acc.data(), cast.data());
-        kernels::apply_step_f64(n, w.data(), 0.75, acc.data());
-        return std::tuple{y, w, v, mask, acc, cast};
-    };
+        auto run_all = [&](KernelArch arch) {
+            kernels::set_kernel_arch(arch);
+            std::vector<float> y = y0, v(n, 0.1f), w = y0, r = edge;
+            std::vector<float> dr = x;
+            std::vector<uint8_t> mask(n), rmask(n);
+            std::vector<double> acc(n, 0.25);
+            kernels::axpy(n, 0.37f, x.data(), y.data());
+            kernels::scale(n, -1.21f, y.data());
+            kernels::vadd(n, x.data(), y.data());
+            kernels::vsub(n, y0.data(), y.data());
+            kernels::add_bias_rows(rows, cols, x.data(), y.data());
+            kernels::accumulate_rows(rows, cols, x.data(), y.data());
+            kernels::relu_forward(n, y.data(), mask.data());
+            kernels::relu_backward(n, mask.data(), y.data());
+            kernels::relu_forward(n, r.data(), rmask.data());
+            kernels::relu_backward(n, rmask.data(), dr.data());
+            kernels::sgd_step(n, w.data(), x.data(), v.data(), 0.05f, 1e-4f,
+                              0.9f);
+            kernels::sgd_step_prox(n, w.data(), x.data(), v.data(),
+                                   anchor.data(), 0.05f, 1e-4f, 0.9f, 0.01f);
+            kernels::axpy_f64(n, 0.125, x.data(), acc.data());
+            kernels::diff_axpy_f64(n, 0.5, w.data(), x.data(), acc.data());
+            std::vector<float> cast(n);
+            kernels::cast_f64_to_f32(n, acc.data(), cast.data());
+            kernels::apply_step_f64(n, w.data(), 0.75, acc.data());
+            r.insert(r.end(), dr.begin(), dr.end());
+            mask.insert(mask.end(), rmask.begin(), rmask.end());
+            return std::tuple{y, w, v, mask, acc, cast, float_bits(r)};
+        };
 
-    const auto scalar = run_all(KernelArch::Scalar);
-    const auto simd = run_all(kernels::best_kernel_arch());
-    EXPECT_EQ(std::get<0>(scalar), std::get<0>(simd));
-    EXPECT_EQ(std::get<1>(scalar), std::get<1>(simd));
-    EXPECT_EQ(std::get<2>(scalar), std::get<2>(simd));
-    EXPECT_EQ(std::get<3>(scalar), std::get<3>(simd));
-    EXPECT_EQ(std::get<4>(scalar), std::get<4>(simd));
-    EXPECT_EQ(std::get<5>(scalar), std::get<5>(simd));
+        const auto scalar = run_all(KernelArch::Scalar);
+        const auto simd = run_all(kernels::best_kernel_arch());
+        EXPECT_EQ(std::get<0>(scalar), std::get<0>(simd)) << "n=" << n;
+        EXPECT_EQ(std::get<1>(scalar), std::get<1>(simd)) << "n=" << n;
+        EXPECT_EQ(std::get<2>(scalar), std::get<2>(simd)) << "n=" << n;
+        EXPECT_EQ(std::get<3>(scalar), std::get<3>(simd)) << "n=" << n;
+        EXPECT_EQ(std::get<4>(scalar), std::get<4>(simd)) << "n=" << n;
+        EXPECT_EQ(std::get<5>(scalar), std::get<5>(simd)) << "n=" << n;
+        EXPECT_EQ(std::get<6>(scalar), std::get<6>(simd)) << "n=" << n;
+    }
 }
 
 /** fedavg / fednova combine bits cannot depend on the variant. */
@@ -789,6 +822,94 @@ TEST(PackedGemmPath, PrepackedOperandsMatchGemm)
             }
         }
     }
+}
+
+/**
+ * Panels hold the same floats whatever the source layout, so under the
+ * packed path gemm(A, B), gemm_tn(A^T) and gemm_nt(B^T), with the
+ * transposes materialized, are bit-identical, and so are the prepacked
+ * handles of either layout. Shapes straddle both register tiles, the
+ * 8-wide packing vectors and the kc blocks (k = 509), in both
+ * accumulate modes.
+ */
+TEST(PackedGemmPath, OperandLayoutsPackIdentically)
+{
+    if (!has_simd())
+        GTEST_SKIP() << "no SIMD variant on this CPU";
+    ArchGuard guard;
+    const kernels::GemmPath saved =
+        kernels::set_gemm_path(kernels::GemmPath::Packed);
+    const int ms[] = {1, 5, 6, 7, 8, 9, 17, 33};
+    const int ns[] = {1, 15, 16, 17, 31, 32, 33};
+    const int ks[] = {1, 7, 8, 9, 48, 257, 509};
+    Rng rng(55);
+    for (KernelArch arch : kernels::supported_kernel_archs()) {
+        if (arch == KernelArch::Scalar)
+            continue;
+        kernels::set_kernel_arch(arch);
+        int cases = 0;
+        int differ = 0;
+        for (int m : ms) {
+            for (int n : ns) {
+                for (int k : ks) {
+                    const auto a =
+                        random_vec(static_cast<size_t>(m) * k, rng);
+                    const auto b =
+                        random_vec(static_cast<size_t>(k) * n, rng);
+                    const auto base =
+                        random_vec(static_cast<size_t>(m) * n, rng);
+                    std::vector<float> at(a.size()), bt(b.size());
+                    for (int i = 0; i < m; ++i)
+                        for (int kk = 0; kk < k; ++kk)
+                            at[static_cast<size_t>(kk) * m + i] =
+                                a[static_cast<size_t>(i) * k + kk];
+                    for (int kk = 0; kk < k; ++kk)
+                        for (int j = 0; j < n; ++j)
+                            bt[static_cast<size_t>(j) * k + kk] =
+                                b[static_cast<size_t>(kk) * n + j];
+                    const auto pa = kernels::pack_gemm_a(m, k, a.data(), k);
+                    const auto pat =
+                        kernels::pack_gemm_a(m, k, at.data(), m, true);
+                    const auto pb =
+                        kernels::pack_gemm_b(m, k, n, b.data(), n);
+                    const auto pbt =
+                        kernels::pack_gemm_b(m, k, n, bt.data(), k, true);
+                    for (bool acc : {false, true}) {
+                        std::vector<float> ref = base;
+                        kernels::gemm(m, n, k, a.data(), k, b.data(), n,
+                                      ref.data(), n, acc);
+                        std::vector<std::vector<float>> got(6, base);
+                        kernels::gemm_tn(m, n, k, at.data(), m, b.data(), n,
+                                         got[0].data(), n, acc);
+                        kernels::gemm_nt(m, n, k, a.data(), k, bt.data(), k,
+                                         got[1].data(), n, acc);
+                        kernels::gemm_packed_a(pa, n, b.data(), n,
+                                               got[2].data(), n, acc);
+                        kernels::gemm_packed_a(pat, n, b.data(), n,
+                                               got[3].data(), n, acc);
+                        kernels::gemm_packed_b(m, a.data(), k, pb,
+                                               got[4].data(), n, acc);
+                        kernels::gemm_packed_b(m, a.data(), k, pbt,
+                                               got[5].data(), n, acc);
+                        ++cases;
+                        for (size_t g = 0; g < got.size(); ++g) {
+                            if (got[g] == ref)
+                                continue;
+                            ++differ;
+                            ADD_FAILURE()
+                                << kernels::kernel_arch_name(arch)
+                                << " form " << g << " m=" << m << " n=" << n
+                                << " k=" << k << " acc=" << acc;
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+        EXPECT_EQ(differ, 0) << kernels::kernel_arch_name(arch) << ": "
+                             << differ << " of " << cases << " cases";
+    }
+    kernels::set_gemm_path(saved);
 }
 
 } // namespace
