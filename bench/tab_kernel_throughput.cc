@@ -16,8 +16,8 @@
  *    baseline path, so this ratio is the round-time win on this
  *    machine.
  *
- * Also measured: a GEMM row per supported kernel arch (scalar, neon,
- * avx2, avx512 — whatever this box can run), and the packed-panel
+ * Also measured: a GEMM row per supported kernel arch (scalar, avx2,
+ * avx512 — whatever this box can run), and the packed-panel
  * driver vs the direct blocked kernels at a deep-K shape
  * (256x256x4096, the conv-backward / LSTM regime packing exists for).
  *

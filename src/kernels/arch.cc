@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 
 #include "kernels/kernel_table.h"
 
@@ -11,12 +12,15 @@ namespace autofl::kernels {
 
 namespace {
 
+/** Every variant, in KernelArch's narrow-to-wide declaration order. */
+constexpr KernelArch kAllArchs[] = {KernelArch::Scalar, KernelArch::Avx2,
+                                    KernelArch::Avx512};
+
 /**
  * "This binary and this CPU can run the variant." The table pointer is
  * null when the TU was built without the ISA (wrong target or missing
  * compiler support), so "binary supports it" is part of the check, not
- * just cpuid. The NEON table is only compiled on targets where ASIMD
- * is baseline, so its pointer alone decides.
+ * just cpuid.
  */
 bool
 arch_supported(KernelArch arch)
@@ -24,8 +28,6 @@ arch_supported(KernelArch arch)
     switch (arch) {
       case KernelArch::Scalar:
         return true;
-      case KernelArch::Neon:
-        return neon_kernel_table() != nullptr;
       case KernelArch::Avx2:
 #if defined(__x86_64__) || defined(_M_X64)
         return avx2_kernel_table() != nullptr &&
@@ -49,11 +51,9 @@ arch_supported(KernelArch arch)
 KernelArch
 detect_best()
 {
-    // Widest first; declaration order in KernelArch is narrow-to-wide.
-    for (const KernelArch arch :
-         {KernelArch::Avx512, KernelArch::Avx2, KernelArch::Neon})
-        if (arch_supported(arch))
-            return arch;
+    for (auto it = std::rbegin(kAllArchs); it != std::rend(kAllArchs); ++it)
+        if (arch_supported(*it))
+            return *it;
     return KernelArch::Scalar;
 }
 
@@ -84,8 +84,7 @@ std::vector<KernelArch>
 supported_kernel_archs()
 {
     std::vector<KernelArch> archs;
-    for (const KernelArch arch : {KernelArch::Scalar, KernelArch::Neon,
-                                  KernelArch::Avx2, KernelArch::Avx512})
+    for (const KernelArch arch : kAllArchs)
         if (arch_supported(arch))
             archs.push_back(arch);
     return archs;
@@ -115,8 +114,7 @@ resolve_kernel_arch_request(const char *request)
         std::strcmp(request, "best") == 0)
         return best;
     bool known = false;
-    for (const KernelArch arch : {KernelArch::Scalar, KernelArch::Neon,
-                                  KernelArch::Avx2, KernelArch::Avx512}) {
+    for (const KernelArch arch : kAllArchs) {
         if (std::strcmp(request, kernel_arch_name(arch)) != 0)
             continue;
         known = true;
@@ -141,8 +139,6 @@ kernel_arch_name(KernelArch arch)
     switch (arch) {
       case KernelArch::Scalar:
         return "scalar";
-      case KernelArch::Neon:
-        return "neon";
       case KernelArch::Avx2:
         return "avx2";
       case KernelArch::Avx512:

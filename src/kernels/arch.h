@@ -9,9 +9,9 @@
  *   1. `set_kernel_arch()` — explicit programmatic override (tests and
  *      benches flip variants in-process for parity/speedup checks).
  *   2. `AUTOFL_KERNEL_ARCH` environment variable: "scalar", "avx2",
- *      "avx512", "neon" or "auto". Requests the hardware (or this
- *      binary) cannot honor fall back to the best supported variant
- *      with a stderr note — never a crash.
+ *      "avx512" or "auto". Requests the hardware (or this binary)
+ *      cannot honor, and unknown names, fall back to the best
+ *      supported variant with a stderr note — never a crash.
  *   3. cpuid: the widest variant this CPU supports.
  *
  * Each variant has a fixed reduction order, so results are bitwise
@@ -26,10 +26,12 @@
 
 namespace autofl::kernels {
 
-/** Kernel instruction-set variants, widest last. */
+/**
+ * Kernel instruction-set variants, widest last. Off x86-64 only Scalar
+ * runs: the AVX translation units compile to null tables there.
+ */
 enum class KernelArch {
     Scalar,  ///< Portable C++; bit-identical to the seed loops.
-    Neon,    ///< NEON/ASIMD (aarch64), 4-lane float vectors.
     Avx2,    ///< AVX2 + FMA (x86-64), 8-lane float vectors.
     Avx512,  ///< AVX-512F + FMA (x86-64), 16-lane float vectors.
 };
@@ -79,7 +81,7 @@ KernelArch set_kernel_arch(KernelArch arch);
 
 /**
  * Resolve an AUTOFL_KERNEL_ARCH-style request string to the variant
- * that would be installed: "scalar"/"neon"/"avx2"/"avx512" pick that
+ * that would be installed: "scalar"/"avx2"/"avx512" pick that
  * variant when supported, anything else (including unsupported
  * requests, unknown names, null and "") falls back to
  * best_kernel_arch() with a stderr note. Pure lookup + clamp — exposed
@@ -87,7 +89,7 @@ KernelArch set_kernel_arch(KernelArch arch);
  */
 KernelArch resolve_kernel_arch_request(const char *request);
 
-/** Lower-case variant name ("scalar", "neon", "avx2", "avx512"). */
+/** Lower-case variant name ("scalar", "avx2", "avx512"). */
 const char *kernel_arch_name(KernelArch arch);
 
 /** Lower-case tier name ("exact", "tolerance"). */

@@ -161,13 +161,6 @@ const KernelTable *avx2_kernel_table();
  */
 const KernelTable *avx512_kernel_table();
 
-/**
- * The NEON/ASIMD table, or null off aarch64. ASIMD is baseline on
- * aarch64, so the TU needs no special flags — it self-guards on
- * __ARM_NEON (defined in kernels_neon.cc).
- */
-const KernelTable *neon_kernel_table();
-
 } // namespace autofl::kernels
 
 #endif // AUTOFL_KERNELS_KERNEL_TABLE_H

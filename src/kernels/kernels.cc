@@ -699,8 +699,6 @@ table_for(KernelArch arch)
     switch (arch) {
       case KernelArch::Scalar:
         return scalar_kernel_table();
-      case KernelArch::Neon:
-        return neon_kernel_table();
       case KernelArch::Avx2:
         return avx2_kernel_table();
       case KernelArch::Avx512:

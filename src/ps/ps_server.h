@@ -95,7 +95,6 @@ class PsServer
 
     const ShardedStore &store() const { return store_; }
     AsyncAggregator &aggregator() { return agg_; }
-    PsExecutor &executor() { return exec_; }
 
     /**
      * Push-path wire bytes this runtime would have moved (classic mode,
@@ -103,9 +102,6 @@ class PsServer
      * cfg.compression — raw f32 bytes for None.
      */
     uint64_t push_payload_bytes() const;
-
-    /** Per-client error-feedback state (tests/metrics). */
-    const ErrorFeedback &error_feedback() const { return error_feedback_; }
 
     /**
      * The snapshot persistence writer (null unless cfg.snapshot_dir is

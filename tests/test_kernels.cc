@@ -559,7 +559,7 @@ TEST(ArchSelection, SetArchClampsAndReports)
     EXPECT_EQ(kernels::current_kernel_arch(), KernelArch::Scalar);
     // A supported request installs exactly that variant; an unsupported
     // one clamps to the widest the box can run — never a crash.
-    for (KernelArch arch : {KernelArch::Neon, KernelArch::Avx2,
+    for (KernelArch arch : {KernelArch::Scalar, KernelArch::Avx2,
                             KernelArch::Avx512}) {
         const KernelArch got = kernels::set_kernel_arch(arch);
         if (kernels::kernel_arch_supported(arch))
@@ -572,10 +572,10 @@ TEST(ArchSelection, SetArchClampsAndReports)
 }
 
 /**
- * AUTOFL_KERNEL_ARCH resolution never crashes: unknown names, empty
- * and null requests, and ISA requests the box cannot honor (e.g.
- * "avx512" on a non-AVX-512 host, "neon" on x86) all fall back to the
- * best supported variant.
+ * AUTOFL_KERNEL_ARCH resolution never crashes: unknown names (including
+ * "neon", which names no variant), empty and null requests, and ISA
+ * requests the box cannot honor (e.g. "avx512" on a non-AVX-512 host)
+ * all fall back to the best supported variant.
  */
 TEST(ArchSelection, EnvResolutionFallsBackToBest)
 {
@@ -585,9 +585,10 @@ TEST(ArchSelection, EnvResolutionFallsBackToBest)
     EXPECT_EQ(kernels::resolve_kernel_arch_request("auto"), best);
     EXPECT_EQ(kernels::resolve_kernel_arch_request("best"), best);
     EXPECT_EQ(kernels::resolve_kernel_arch_request("sse9000"), best);
+    EXPECT_EQ(kernels::resolve_kernel_arch_request("neon"), best);
     EXPECT_EQ(kernels::resolve_kernel_arch_request("AVX2 "), best);
-    for (KernelArch arch : {KernelArch::Scalar, KernelArch::Neon,
-                            KernelArch::Avx2, KernelArch::Avx512}) {
+    for (KernelArch arch : {KernelArch::Scalar, KernelArch::Avx2,
+                            KernelArch::Avx512}) {
         const KernelArch got = kernels::resolve_kernel_arch_request(
             kernels::kernel_arch_name(arch));
         if (kernels::kernel_arch_supported(arch))
@@ -602,6 +603,12 @@ TEST(ArchSelection, SupportedArchsAllRun)
 {
     ArchGuard guard;
     const auto archs = kernels::supported_kernel_archs();
+    std::vector<KernelArch> expected;
+    for (KernelArch arch : {KernelArch::Scalar, KernelArch::Avx2,
+                            KernelArch::Avx512})
+        if (kernels::kernel_arch_supported(arch))
+            expected.push_back(arch);
+    EXPECT_EQ(archs, expected);
     ASSERT_FALSE(archs.empty());
     EXPECT_EQ(archs.front(), KernelArch::Scalar);
     EXPECT_EQ(archs.back(), kernels::best_kernel_arch());
