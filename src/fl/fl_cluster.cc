@@ -1,39 +1,12 @@
 #include "fl_cluster.h"
 
-#include <chrono>
 #include <cstdio>
 #include <thread>
 
 #include "fl/client.h"
 #include "fl/system.h"
-#include "util/rng.h"
 
 namespace autofl {
-
-namespace {
-
-/**
- * The worker-side train function: a pure function of (seed, device,
- * round) exactly like every other runtime's, so where a job runs —
- * loopback thread, forked process, another machine — never shows in
- * the trained weights.
- */
-LocalUpdate
-train_cluster_job(LocalTrainer &trainer, const FlSystemConfig &cfg,
-                  const Dataset &shard, const net::WorkerJob &job)
-{
-    if (cfg.ps.sim_device_latency_s > 0.0) {
-        std::this_thread::sleep_for(std::chrono::duration<double>(
-            cfg.ps.sim_latency_for(job.device_id)));
-    }
-    Rng rng = client_rng(cfg.seed, job.device_id, job.round);
-    LocalUpdate u = trainer.train(job.weights, shard, cfg.params,
-                                  cfg.hyper, cfg.algorithm, {}, rng);
-    u.device_id = job.device_id;
-    return u;
-}
-
-} // namespace
 
 FlCluster::FlCluster(FlSystem &sys) : sys_(sys)
 {
@@ -72,9 +45,9 @@ FlCluster::start(std::string *err)
                 }
                 LocalTrainer trainer(cfg.workload);
                 w->run([this, &trainer, &cfg](const net::WorkerJob &job) {
-                    return train_cluster_job(trainer, cfg,
-                                             sys_.shard(job.device_id),
-                                             job);
+                    return train_client_job(trainer, cfg, job.device_id,
+                                            job.round, job.weights,
+                                            sys_.shard(job.device_id));
                 });
             });
             loop_workers_.push_back(std::move(lw));
@@ -193,8 +166,9 @@ run_cluster_worker(const FlSystemConfig &cfg, const std::string &addr_str)
     LocalTrainer trainer(cfg.workload);
     const bool clean =
         worker.run([&](const net::WorkerJob &job) {
-            const auto dev = static_cast<size_t>(job.device_id);
-            return train_cluster_job(trainer, cfg, shards.at(dev), job);
+            return train_client_job(
+                trainer, cfg, job.device_id, job.round, job.weights,
+                shards.at(static_cast<size_t>(job.device_id)));
         });
     return clean ? 0 : 2;
 }

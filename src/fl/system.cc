@@ -54,6 +54,23 @@ validated(FlSystemConfig cfg)
 
 } // namespace
 
+LocalUpdate
+train_client_job(LocalTrainer &trainer, const FlSystemConfig &cfg,
+                 int device_id, uint64_t round,
+                 const std::vector<float> &weights, const Dataset &shard,
+                 const std::vector<float> &fedl_correction)
+{
+    if (cfg.ps.sim_device_latency_s > 0.0) {
+        std::this_thread::sleep_for(std::chrono::duration<double>(
+            cfg.ps.sim_latency_for(device_id)));
+    }
+    Rng rng = client_rng(cfg.seed, device_id, round);
+    LocalUpdate u = trainer.train(weights, shard, cfg.params, cfg.hyper,
+                                  cfg.algorithm, fedl_correction, rng);
+    u.device_id = device_id;
+    return u;
+}
+
 FlSystem::FlSystem(const FlSystemConfig &cfg)
     : cfg_(validated(cfg)),
       data_(make_dataset(cfg_.workload, cfg_.data)),
@@ -72,8 +89,8 @@ FlSystem::FlSystem(const FlSystemConfig &cfg)
     // in the configured registry and redirect checkpointing into the
     // model's registry directory — every artifact the run writes
     // becomes a servable name@version the moment its rename lands.
-    // Must precede runtime construction: PsServer and the barrier
-    // writer below both read ps.snapshot_dir.
+    // Must precede the checkpoint writer below, which reads
+    // ps.snapshot_dir.
     if (!cfg_.serve.registry_dir.empty()) {
         store::ModelRegistry registry(cfg_.serve.registry_dir);
         const std::string name = cfg_.serve.model_name.empty()
@@ -125,23 +142,10 @@ FlSystem::FlSystem(const FlSystemConfig &cfg)
         resume_round_ = snap.meta.round;
     }
 
-    if (cfg_.ps.net.enabled()) {
-        // Distributed transport: the cluster owns the store and the
-        // aggregator; it assembles its worker fleet lazily at the
-        // first round so constructing a system stays cheap.
-        cluster_ = std::make_unique<FlCluster>(*this);
-    } else if (cfg_.ps.mode != SyncMode::Sync &&
-               cfg_.algorithm != Algorithm::Fedl) {
-        ps_ = std::make_unique<PsServer>(server_, cfg_.workload,
-                                         cfg_.params, cfg_.hyper,
-                                         cfg_.algorithm, cfg_.seed, cfg_.ps,
-                                         cfg_.threads);
-    }
-
-    // Persistence for the runtimes whose commit point is the round
-    // barrier on this thread (sync, cluster). The ps runtime owns its
-    // own writer, hooked into its commit path instead.
-    if (!cfg_.ps.snapshot_dir.empty() && !ps_) {
+    // Persistence, one writer for every runtime: the barrier runtimes
+    // request at run_round's barrier, the pipelined runtime from the
+    // retirement hook handed to PsServer below.
+    if (!cfg_.ps.snapshot_dir.empty()) {
         store::RetentionPolicy retention;
         retention.keep_last = cfg_.ps.snapshot_keep_last;
         retention.pinned = cfg_.ps.snapshot_pinned;
@@ -150,27 +154,50 @@ FlSystem::FlSystem(const FlSystemConfig &cfg)
             static_cast<uint32_t>(cfg_.ps.shards), std::move(retention));
     }
 
+    if (cfg_.ps.net.enabled()) {
+        // Distributed transport: the cluster owns the store and the
+        // aggregator; it assembles its worker fleet lazily at the
+        // first round so constructing a system stays cheap.
+        cluster_ = std::make_unique<FlCluster>(*this);
+    } else if (cfg_.ps.mode != SyncMode::Sync &&
+               cfg_.algorithm != Algorithm::Fedl) {
+        RoundPipeline::CheckpointFn hook;
+        if (ckpt_) {
+            // Persistence rides retirement: the hook shares the
+            // pipeline's own history snapshot zero-copy and the writer
+            // only enqueues — a slow disk thins artifacts, it never
+            // slows a commit wave.
+            hook = [this](uint64_t round, uint64_t epoch,
+                          std::shared_ptr<const std::vector<float>> w) {
+                if (cfg_.ps.snapshot_due(round))
+                    ckpt_->request(round, epoch, std::move(w));
+            };
+        }
+        ps_ = std::make_unique<PsServer>(
+            server_, cfg_.algorithm, cfg_.ps, training_pool(),
+            [this](int worker, int dev, const std::vector<float> &w,
+                   uint64_t round) {
+                return train_client_job(
+                    *trainers_[static_cast<size_t>(worker)], cfg_, dev,
+                    round, w, shard(dev));
+            },
+            std::move(hook));
+    }
+
     // The serving plane. Pipelined mode sources snapshots straight from
-    // the store (commit waves publish them); the synchronous and
-    // classic runtimes publish at their round barrier, in evaluate().
-    // Slot count covers the concurrent eval pool so its workers never
-    // serialize on a shared scratch model.
+    // the store (commit waves publish them) and scores retired rounds
+    // on the concurrent eval pool, one snapshot per call; every other
+    // runtime publishes at its round barrier, in evaluate(). Slot count
+    // covers the eval pool so its workers never serialize on a shared
+    // scratch model.
     ServeConfig scfg = cfg_.serve;
-    if (ps_ && ps_->pipelined())
+    if (pipelined())
         scfg.workers = std::max(scfg.workers, cfg_.ps.eval_workers);
     serve_ = std::make_unique<ModelService>(cfg_.workload, scfg);
-    if (ps_ && ps_->pipelined())
+    if (pipelined()) {
         serve_->attach_store(&ps_->store());
-
-    if (ps_) {
-        // Snapshot scorer for the runtime's eval path. Accuracy is an
-        // integer count, deterministic at any fan-out; the pipelined
-        // eval pool parallelizes across snapshots (fan-out 1 per call)
-        // while the classic barrier fans one call out across slots.
-        const int fan_out = ps_->pipelined() ? 1 : 0;
-        ps_->set_eval_fn([this, fan_out](const StoreSnapshot &snap) {
-            return serve_->evaluate(SnapshotHandle(snap), data_.test,
-                                    fan_out)
+        ps_->set_eval_fn([this](const StoreSnapshot &snap) {
+            return serve_->evaluate(SnapshotHandle(snap), data_.test, 1)
                 .accuracy;
         });
     }
@@ -208,17 +235,16 @@ FlSystem::device_non_iid(int device_id) const
 }
 
 PsExecutor &
-FlSystem::local_executor()
+FlSystem::training_pool()
 {
-    if (!local_exec_) {
-        local_exec_ = std::make_unique<PsExecutor>(std::max(1, cfg_.threads));
-        local_trainers_.reserve(
-            static_cast<size_t>(local_exec_->threads()));
-        for (int t = 0; t < local_exec_->threads(); ++t)
-            local_trainers_.push_back(
+    if (!exec_) {
+        exec_ = std::make_unique<PsExecutor>(cfg_.threads);
+        trainers_.reserve(static_cast<size_t>(exec_->threads()));
+        for (int t = 0; t < exec_->threads(); ++t)
+            trainers_.push_back(
                 std::make_unique<LocalTrainer>(cfg_.workload));
     }
-    return *local_exec_;
+    return *exec_;
 }
 
 std::vector<LocalUpdate>
@@ -226,7 +252,7 @@ FlSystem::run_local_round(const std::vector<int> &device_ids, uint64_t round)
 {
     const size_t n = device_ids.size();
     std::vector<LocalUpdate> updates(n);
-    PsExecutor &exec = local_executor();
+    PsExecutor &exec = training_pool();
 
     // FEDL phase 1: clients report full local gradients at the current
     // global weights; the server averages them into its global-gradient
@@ -237,9 +263,8 @@ FlSystem::run_local_round(const std::vector<int> &device_ids, uint64_t round)
         for (size_t i = 0; i < n; ++i) {
             exec.submit([this, &fedl_grads, &device_ids, i](int worker) {
                 fedl_grads[i] =
-                    local_trainers_[static_cast<size_t>(worker)]
-                        ->full_gradient(server_.global_weights(),
-                                        shard(device_ids[i]));
+                    trainers_[static_cast<size_t>(worker)]->full_gradient(
+                        server_.global_weights(), shard(device_ids[i]));
             });
         }
         exec.wait_idle();
@@ -254,19 +279,12 @@ FlSystem::run_local_round(const std::vector<int> &device_ids, uint64_t round)
         exec.submit([this, &updates, &device_ids, &fedl_grads, round,
                      i](int worker) {
             const int dev = device_ids[i];
-            if (cfg_.ps.sim_device_latency_s > 0.0) {
-                std::this_thread::sleep_for(std::chrono::duration<double>(
-                    cfg_.ps.sim_latency_for(dev)));
-            }
-            Rng rng = client_rng(cfg_.seed, dev, round);
             std::vector<float> correction;
             if (server_.wants_full_gradients())
                 correction = server_.fedl_correction(fedl_grads[i]);
-            updates[i] =
-                local_trainers_[static_cast<size_t>(worker)]->train(
-                    server_.global_weights(), shard(dev), cfg_.params,
-                    cfg_.hyper, cfg_.algorithm, correction, rng);
-            updates[i].device_id = dev;
+            updates[i] = train_client_job(
+                *trainers_[static_cast<size_t>(worker)], cfg_, dev, round,
+                server_.global_weights(), shard(dev), correction);
         });
     }
     exec.wait_idle();
@@ -282,6 +300,9 @@ FlSystem::aggregate(const std::vector<LocalUpdate> &updates)
 PsRoundStats
 FlSystem::run_round(const std::vector<int> &device_ids, uint64_t round)
 {
+    if (pipelined())
+        return ps_->run_round(device_ids, round);  // Hook checkpoints.
+    PsRoundStats stats;
     if (cluster_) {
         if (!cluster_->started()) {
             std::string err;
@@ -290,47 +311,40 @@ FlSystem::run_round(const std::vector<int> &device_ids, uint64_t round)
                                          "failed: " +
                                          err);
         }
-        PsRoundStats stats = cluster_->run_round(device_ids, round);
-        maybe_checkpoint(round);  // Cluster synced the server above.
-        return stats;
-    }
-    if (!ps_) {
+        stats = cluster_->run_round(device_ids, round);
+    } else if (ps_) {
+        stats = ps_->run_round(device_ids, round);
+    } else {
         auto updates = run_local_round(device_ids, round);
         aggregate(updates);
-        PsRoundStats stats;
         stats.pushed = static_cast<int>(updates.size());
         stats.applied = stats.pushed;
         stats.commits = updates.empty() ? 0 : 1;
-        maybe_checkpoint(round);
-        return stats;
     }
-    std::vector<PsRoundJob> jobs;
-    jobs.reserve(device_ids.size());
-    for (int dev : device_ids)
-        jobs.push_back(PsRoundJob{dev, &shard(dev)});
-    return ps_->run_round(jobs, round);
+    // Every barrier runtime has synced the server's weights by now, so
+    // they ARE the post-round state; the copy crosses to the writer
+    // thread and training moves on.
+    maybe_checkpoint(round, barrier_epoch(round));
+    return stats;
 }
 
 void
 FlSystem::submit_round(const std::vector<int> &device_ids, uint64_t round,
                        PsRoundCallback cb)
 {
-    if (!ps_) {
-        // Synchronous runtime: the round and its evaluation run inline;
-        // the callback fires before we return.
-        PsRoundResult res;
-        res.round = round;
-        res.stats = run_round(device_ids, round);
-        res.accuracy = evaluate();
-        if (cb)
-            cb(res);
+    if (pipelined()) {
+        ps_->submit_round(device_ids, round, std::move(cb));
         return;
     }
-    std::vector<PsRoundJob> jobs;
-    jobs.reserve(device_ids.size());
-    for (int dev : device_ids)
-        jobs.push_back(PsRoundJob{dev, &shard(dev)});
-    ps_->submit_round(jobs, round, std::move(cb));
+    // Every other runtime: the round and its evaluation run inline and
+    // the callback fires before we return.
+    PsRoundResult res;
+    res.round = round;
+    res.stats = run_round(device_ids, round);
+    res.final_epoch = barrier_epoch(round);
+    res.accuracy = evaluate();
+    if (cb)
+        cb(res);
 }
 
 void
@@ -349,17 +363,20 @@ FlSystem::pipelined() const
 store::CheckpointWriter *
 FlSystem::checkpoint_writer()
 {
-    return ps_ ? ps_->checkpoint_writer() : ckpt_.get();
+    return ckpt_.get();
+}
+
+uint64_t
+FlSystem::barrier_epoch(uint64_t round)
+{
+    return ps_ ? ps_->aggregator().clock() : round + 1;
 }
 
 void
-FlSystem::maybe_checkpoint(uint64_t round)
+FlSystem::maybe_checkpoint(uint64_t round, uint64_t epoch)
 {
-    // Barrier runtimes have no store commit clock; the artifact epoch
-    // counts completed rounds (round + 1), which for single-commit
-    // rounds is exactly what the ps runtimes would stamp.
     if (ckpt_ && cfg_.ps.snapshot_due(round)) {
-        ckpt_->request(round, round + 1,
+        ckpt_->request(round, epoch,
                        std::make_shared<const std::vector<float>>(
                            server_.global_weights()));
     }
@@ -370,8 +387,8 @@ FlSystem::evaluate()
 {
     // One consumption path for every runtime: snapshot handle in,
     // batched engine eval out. Store-backed services (pipelined mode)
-    // already hold the latest commit snapshot; the barrier runtimes
-    // publish the current global weights as a model version first (a
+    // already hold the latest commit snapshot; every other runtime
+    // publishes the current global weights as a model version first (a
     // no-op when the weights haven't changed).
     if (!serve_->store_backed())
         serve_->publish(server_.global_weights());

@@ -49,6 +49,23 @@ struct FlSystemConfig
     void validate() const;
 };
 
+/**
+ * One client job, the only place a device trains under every runtime
+ * (the Sync barrier, the classic and pipelined ps runtimes, cluster
+ * workers): sleep for the device's simulated latency, derive its
+ * (seed, device, round) RNG stream, run local SGD from @p weights on
+ * @p shard and stamp the device id. The update is a pure function of
+ * (seed, device, round, weights), so where a job runs never shows in
+ * the trained weights.
+ * @param fedl_correction FEDL's per-weight linear-term coefficients
+ *        (empty for every other algorithm).
+ */
+LocalUpdate train_client_job(LocalTrainer &trainer, const FlSystemConfig &cfg,
+                             int device_id, uint64_t round,
+                             const std::vector<float> &weights,
+                             const Dataset &shard,
+                             const std::vector<float> &fedl_correction = {});
+
 /** Complete FL training stack for one job. */
 class FlSystem
 {
@@ -76,13 +93,12 @@ class FlSystem
     const Server &server() const { return server_; }
 
     /**
-     * Run local training on the selected devices, parallel across a
-     * persistent PsExecutor pool (created on first use, reused every
-     * round — client-level parallelism composes with the SIMD kernels
-     * each job runs on). Updates are returned in @p device_ids order
-     * and are a pure function of (seed, device, round), never of job
-     * placement. FEDL's two-phase gradient exchange happens inside
-     * when configured.
+     * Run local training on the selected devices, parallel across the
+     * system's training pool (one train_client_job per device).
+     * Updates are returned in @p device_ids order and are a pure
+     * function of (seed, device, round), never of job placement.
+     * FEDL's two-phase gradient exchange happens inside when
+     * configured.
      * @param round Round index (decorrelates per-round client RNG).
      */
     std::vector<LocalUpdate> run_local_round(
@@ -92,11 +108,13 @@ class FlSystem
     void aggregate(const std::vector<LocalUpdate> &updates);
 
     /**
-     * Unified round entry dispatching on cfg.ps.mode: the synchronous
-     * barrier (run_local_round + aggregate) or the parameter-server
-     * runtime (concurrent jobs, bounded-staleness aggregation). FEDL
-     * always takes the synchronous path — its gradient exchange is a
-     * barrier by construction.
+     * Unified round entry dispatching on the runtime: the synchronous
+     * barrier (run_local_round + aggregate), the parameter-server
+     * runtime (concurrent jobs, bounded-staleness aggregation) or the
+     * cluster. FEDL always takes the synchronous path — its gradient
+     * exchange is a barrier by construction. Every runtime except the
+     * pipelined one (which checkpoints from its retirement hook)
+     * requests its checkpoint here, at the one barrier point.
      */
     PsRoundStats run_round(const std::vector<int> &device_ids,
                            uint64_t round);
@@ -107,8 +125,8 @@ class FlSystem
      * rounds overlap and @p cb fires in round order — with the round's
      * test accuracy scored by a concurrent eval worker from the round's
      * final store snapshot — once the round retires. Under any other
-     * runtime the round (and its evaluation) runs inline and @p cb
-     * fires before this returns, so drivers can use one code path.
+     * runtime the round runs inline (run_round, then evaluate(), then
+     * @p cb) before this returns, so drivers can use one code path.
      * Submit from one driver thread, in increasing round order.
      */
     void submit_round(const std::vector<int> &device_ids, uint64_t round,
@@ -167,9 +185,9 @@ class FlSystem
     uint64_t resume_round() const { return resume_round_; }
 
     /**
-     * The active snapshot persistence writer: the ps runtime's when it
-     * owns one, this system's for the sync/cluster runtimes, null when
-     * cfg.ps.snapshot_dir is unset.
+     * The snapshot persistence writer, one for every runtime; null
+     * when cfg.ps.snapshot_dir is unset. Callers flush() it to wait
+     * for artifacts on disk.
      */
     store::CheckpointWriter *checkpoint_writer();
 
@@ -181,34 +199,40 @@ class FlSystem
     Server server_;
     NnProfile profile_;
 
-    // Declared before ps_ so it is destroyed after it: ~PsServer drains
-    // the pipeline, whose queued eval closures call into serve_ — the
-    // serving plane must outlive that drain.
-    std::unique_ptr<ModelService> serve_;  ///< The serving plane.
-    std::unique_ptr<PsServer> ps_;  ///< Non-null when cfg.ps.mode != Sync.
-    std::unique_ptr<FlCluster> cluster_;  ///< Non-null when ps.net set.
-
-    /**
-     * Snapshot persistence for the runtimes that do NOT own a
-     * PsServer (sync barrier, cluster): their commit point is the
-     * round barrier on this thread, so the system itself requests the
-     * checkpoints (see run_round). Null when ps_ owns the writer or
-     * persistence is off.
-     */
-    std::unique_ptr<store::CheckpointWriter> ckpt_;
     bool resumed_ = false;
     uint64_t resume_round_ = 0;
 
-    /** Barrier-runtime checkpoint point (no-op without ckpt_). */
-    void maybe_checkpoint(uint64_t round);
+    // Everything the ps runtime's pipeline calls into is declared
+    // before ps_, so it is destroyed after ~PsServer drains the
+    // pipeline: queued eval closures call serve_, retirement hooks
+    // enqueue into ckpt_, and in-flight jobs run on exec_ with
+    // trainers_.
+    std::unique_ptr<ModelService> serve_;  ///< The serving plane.
 
-    // Synchronous-path training pool: lazily created, then reused for
-    // every round (the seed spawned fresh std::threads per round).
-    std::unique_ptr<PsExecutor> local_exec_;
-    std::vector<std::unique_ptr<LocalTrainer>> local_trainers_;
+    /** Snapshot persistence for every runtime (null when off). */
+    std::unique_ptr<store::CheckpointWriter> ckpt_;
 
-    /** Ensure local_exec_/local_trainers_ exist. */
-    PsExecutor &local_executor();
+    // The training pool, one LocalTrainer per worker: created on first
+    // use (eagerly when the ps runtime needs it), then reused for every
+    // round by the Sync barrier and the ps runtime alike.
+    std::vector<std::unique_ptr<LocalTrainer>> trainers_;
+    std::unique_ptr<PsExecutor> exec_;
+
+    std::unique_ptr<PsServer> ps_;  ///< Non-null when cfg.ps.mode != Sync.
+    std::unique_ptr<FlCluster> cluster_;  ///< Non-null when ps.net set.
+
+    /** Ensure exec_/trainers_ exist. */
+    PsExecutor &training_pool();
+
+    /**
+     * The artifact epoch a barrier round stamps: the ps commit clock,
+     * or completed rounds (round + 1) for the Sync and cluster
+     * barriers — for single-commit rounds, the same number.
+     */
+    uint64_t barrier_epoch(uint64_t round);
+
+    /** Barrier checkpoint point (no-op without ckpt_ or off-cadence). */
+    void maybe_checkpoint(uint64_t round, uint64_t epoch);
 };
 
 } // namespace autofl

@@ -257,6 +257,47 @@ count_selection(const Fleet &fleet, const std::vector<ParticipantPlan> &plans,
     }
 }
 
+/**
+ * Every device's observation this round: its runtime state and the
+ * label classes on its shard (@p fl null: every device is taken to
+ * hold all @p total_classes, as in the training-free characterization).
+ */
+std::vector<LocalObservation>
+observe_fleet(const Fleet &fleet, const FlSystem *fl, int total_classes)
+{
+    std::vector<LocalObservation> locals(static_cast<size_t>(fleet.size()));
+    for (int d = 0; d < fleet.size(); ++d) {
+        auto &l = locals[static_cast<size_t>(d)];
+        l.state = fleet.device(d).state();
+        l.data_classes = fl ? fl->classes_on_device(d) : total_classes;
+        l.total_classes = total_classes;
+    }
+    return locals;
+}
+
+/**
+ * The simulated compute profile of one participant training on
+ * @p samples local samples; under push compression the uplink shrinks
+ * to the codec's encoded delta size while the downlink stays the full
+ * f32 model.
+ */
+ComputeProfile
+participant_profile(const ExperimentConfig &cfg, const FlGlobalParams &params,
+                    const NnProfile &profile, double samples)
+{
+    ComputeProfile prof;
+    prof.train_flops = static_cast<double>(params.epochs) * samples *
+        profile.flops_per_sample * kTrainFlopFactor;
+    prof.mem_bound_frac = profile.mem_bound_frac;
+    prof.payload_bytes = profile.model_bytes;
+    prof.batch_size = params.batch_size;
+    if (cfg.compression.enabled()) {
+        prof.uplink_bytes = static_cast<double>(encoded_delta_bytes(
+            cfg.compression, static_cast<size_t>(profile.model_bytes / 4.0)));
+    }
+    return prof;
+}
+
 } // namespace
 
 ExperimentResult
@@ -338,15 +379,8 @@ run_experiment(const ExperimentConfig &cfg)
             std::max(1, static_cast<int>(fl.shard(0).size()));
         for (int w = 0; w < cfg.autofl_warmup_rounds; ++w) {
             fleet.begin_round();
-            std::vector<LocalObservation> locals(
-                static_cast<size_t>(fleet.size()));
-            for (int d = 0; d < fleet.size(); ++d) {
-                auto &l = locals[static_cast<size_t>(d)];
-                l.state = fleet.device(d).state();
-                l.data_classes = fl.classes_on_device(d);
-                l.total_classes = total_classes;
-            }
-            auto plans = policy->select(gobs, locals, params.k);
+            auto plans = policy->select(
+                gobs, observe_fleet(fleet, &fl, total_classes), params.k);
             std::vector<ComputeProfile> profiles(
                 plans.size(),
                 ComputeProfile{static_cast<double>(params.epochs) * quota *
@@ -479,38 +513,15 @@ run_experiment(const ExperimentConfig &cfg)
     for (int round = start_round; round < cfg.max_rounds && !stop;
          ++round) {
         fleet.begin_round();
-
-        std::vector<LocalObservation> locals(
-            static_cast<size_t>(fleet.size()));
-        for (int d = 0; d < fleet.size(); ++d) {
-            auto &l = locals[static_cast<size_t>(d)];
-            l.state = fleet.device(d).state();
-            l.data_classes = fl.classes_on_device(d);
-            l.total_classes = total_classes;
-        }
-
-        auto plans = policy->select(gobs, locals, params.k);
+        auto plans = policy->select(
+            gobs, observe_fleet(fleet, &fl, total_classes), params.k);
 
         std::vector<ComputeProfile> profiles;
         profiles.reserve(plans.size());
         for (const auto &p : plans) {
-            ComputeProfile prof;
-            prof.train_flops = static_cast<double>(params.epochs) *
-                static_cast<double>(fl.shard(p.device_id).size()) *
-                gobs.profile.flops_per_sample * kTrainFlopFactor;
-            prof.mem_bound_frac = mem_frac;
-            prof.payload_bytes = gobs.profile.model_bytes;
-            prof.batch_size = params.batch_size;
-            if (cfg.compression.enabled()) {
-                // Uplink shrinks to the codec's encoded delta size;
-                // the downlink stays the full f32 model.
-                prof.uplink_bytes =
-                    static_cast<double>(encoded_delta_bytes(
-                        cfg.compression,
-                        static_cast<size_t>(gobs.profile.model_bytes /
-                                            4.0)));
-            }
-            profiles.push_back(prof);
+            profiles.push_back(participant_profile(
+                cfg, params, gobs.profile,
+                static_cast<double>(fl.shard(p.device_id).size())));
         }
 
         RoundExec exec = simulate_round(fleet, plans, profiles, round_sim);
@@ -589,8 +600,6 @@ run_characterization(const ExperimentConfig &cfg, int rounds)
     if (cfg.train_samples > 0)
         train_samples = cfg.train_samples;
     const int quota = std::max(1, train_samples / fleet.size());
-
-    const double mem_frac = gobs.profile.mem_bound_frac;
     const int total_classes = model_num_classes(cfg.workload);
 
     ExperimentResult res;
@@ -598,36 +607,11 @@ run_characterization(const ExperimentConfig &cfg, int rounds)
 
     for (int round = 0; round < rounds; ++round) {
         fleet.begin_round();
-        std::vector<LocalObservation> locals(
-            static_cast<size_t>(fleet.size()));
-        for (int d = 0; d < fleet.size(); ++d) {
-            auto &l = locals[static_cast<size_t>(d)];
-            l.state = fleet.device(d).state();
-            l.data_classes = total_classes;
-            l.total_classes = total_classes;
-        }
-        auto plans = policy->select(gobs, locals, params.k);
-
-        std::vector<ComputeProfile> profiles;
-        profiles.reserve(plans.size());
-        for (size_t i = 0; i < plans.size(); ++i) {
-            ComputeProfile prof;
-            prof.train_flops = static_cast<double>(params.epochs) * quota *
-                gobs.profile.flops_per_sample * kTrainFlopFactor;
-            prof.mem_bound_frac = mem_frac;
-            prof.payload_bytes = gobs.profile.model_bytes;
-            prof.batch_size = params.batch_size;
-            if (cfg.compression.enabled()) {
-                // Uplink shrinks to the codec's encoded delta size;
-                // the downlink stays the full f32 model.
-                prof.uplink_bytes =
-                    static_cast<double>(encoded_delta_bytes(
-                        cfg.compression,
-                        static_cast<size_t>(gobs.profile.model_bytes /
-                                            4.0)));
-            }
-            profiles.push_back(prof);
-        }
+        auto plans = policy->select(
+            gobs, observe_fleet(fleet, nullptr, total_classes), params.k);
+        const std::vector<ComputeProfile> profiles(
+            plans.size(),
+            participant_profile(cfg, params, gobs.profile, quota));
         RoundExec exec = simulate_round(fleet, plans, profiles,
                                         cfg.round_sim);
 

@@ -166,35 +166,7 @@ ClusterServer::handle(Peer *peer, Message &&m)
                            peer->id, m.floats.size(), store_.dim());
               return;
           }
-          bool accept = false;
-          {
-              std::lock_guard<std::mutex> lk(round_mu_);
-              auto it = outstanding_.find(peer->id);
-              if (round_active_ && m.round == current_round_ &&
-                  it != outstanding_.end()) {
-                  auto &seqs = it->second;
-                  auto sit = std::find(seqs.begin(), seqs.end(), m.seq);
-                  if (sit != seqs.end()) {
-                      seqs.erase(sit);
-                      accept = true;
-                  }
-              }
-          }
-          if (!accept)
-              return;  // Late push from an evicted/stale round.
-          LocalUpdate u;
-          u.device_id = m.ints[0];
-          u.num_steps = m.ints[1];
-          u.num_samples = m.ints[2];
-          u.train_loss = m.doubles[0];
-          u.train_acc = m.doubles[1];
-          u.weights = std::move(m.floats);
-          agg_.push(PsPush{std::move(u), m.seq, m.clock});
-          {
-              std::lock_guard<std::mutex> lk(round_mu_);
-              ++arrived_;
-              round_cv_.notify_all();
-          }
+          accept_push(peer->id, m, nullptr);
           return;
       }
       case MsgType::PushDelta: {
@@ -212,61 +184,7 @@ ClusterServer::handle(Peer *peer, Message &&m)
                            peer->id, wire_status_name(ws));
               return;
           }
-          bool accept = false;
-          std::vector<float> pulled;
-          {
-              std::lock_guard<std::mutex> lk(round_mu_);
-              auto it = outstanding_.find(peer->id);
-              if (round_active_ && m.round == current_round_ &&
-                  it != outstanding_.end()) {
-                  auto &seqs = it->second;
-                  auto sit = std::find(seqs.begin(), seqs.end(), m.seq);
-                  if (sit != seqs.end()) {
-                      seqs.erase(sit);
-                      accept = true;
-                      auto pit = pull_cache_.find({peer->id, m.seq});
-                      if (pit != pull_cache_.end()) {
-                          pulled = std::move(pit->second);
-                          pull_cache_.erase(pit);
-                      }
-                  }
-              }
-          }
-          if (!accept)
-              return;  // Late delta from an evicted/stale round.
-          if (pulled.size() != store_.dim()) {
-              // The job was claimed but its pull base is gone (e.g. a
-              // codec mismatch between worker and server config); the
-              // update is unreconstructable. Account it as lost so the
-              // round completes instead of hanging on this seq.
-              std::fprintf(stderr,
-                           "[net] worker %d push-delta seq %llu has no "
-                           "cached pull base; counting as lost\n",
-                           peer->id,
-                           static_cast<unsigned long long>(m.seq));
-              std::lock_guard<std::mutex> lk(round_mu_);
-              ++lost_;
-              round_cv_.notify_all();
-              return;
-          }
-          LocalUpdate u;
-          u.device_id = m.ints[0];
-          u.num_steps = m.ints[1];
-          u.num_samples = m.ints[2];
-          u.train_loss = m.doubles[0];
-          u.train_acc = m.doubles[1];
-          // Reconstruct the absolute weights the worker trained to:
-          // the exact pulled payload plus the decoded delta — the same
-          // floats the in-process runtime's decode-before-commit hands
-          // its aggregator.
-          u.weights = std::move(pulled);
-          kernels::vadd(u.weights.size(), delta.data(), u.weights.data());
-          agg_.push(PsPush{std::move(u), m.seq, m.clock});
-          {
-              std::lock_guard<std::mutex> lk(round_mu_);
-              ++arrived_;
-              round_cv_.notify_all();
-          }
+          accept_push(peer->id, m, &delta);
           return;
       }
       case MsgType::BarrierAck: {
@@ -285,6 +203,67 @@ ClusterServer::handle(Peer *peer, Message &&m)
       default:
           return;  // Worker-bound types are ignored on the server.
     }
+}
+
+void
+ClusterServer::accept_push(int peer, Message &m,
+                           const std::vector<float> *delta)
+{
+    bool accept = false;
+    std::vector<float> pulled;
+    {
+        std::lock_guard<std::mutex> lk(round_mu_);
+        auto it = outstanding_.find(peer);
+        if (round_active_ && m.round == current_round_ &&
+            it != outstanding_.end()) {
+            auto &seqs = it->second;
+            auto sit = std::find(seqs.begin(), seqs.end(), m.seq);
+            if (sit != seqs.end()) {
+                seqs.erase(sit);
+                accept = true;
+                auto pit = pull_cache_.find({peer, m.seq});
+                if (delta != nullptr && pit != pull_cache_.end()) {
+                    pulled = std::move(pit->second);
+                    pull_cache_.erase(pit);
+                }
+            }
+        }
+    }
+    if (!accept)
+        return;  // Late push from an evicted/stale round.
+
+    LocalUpdate u;
+    u.device_id = m.ints[0];
+    u.num_steps = m.ints[1];
+    u.num_samples = m.ints[2];
+    u.train_loss = m.doubles[0];
+    u.train_acc = m.doubles[1];
+    if (!delta) {
+        u.weights = std::move(m.floats);
+    } else if (pulled.size() != store_.dim()) {
+        // The job was claimed but its pull base is gone (e.g. a codec
+        // mismatch between worker and server config); the update is
+        // unreconstructable.
+        std::fprintf(stderr,
+                     "[net] worker %d push-delta seq %llu has no "
+                     "cached pull base; counting as lost\n",
+                     peer, static_cast<unsigned long long>(m.seq));
+        std::lock_guard<std::mutex> lk(round_mu_);
+        ++lost_;
+        round_cv_.notify_all();
+        return;
+    } else {
+        // Reconstruct the absolute weights the worker trained to: the
+        // exact pulled payload plus the decoded delta — the same floats
+        // the in-process runtime's decode-before-commit hands its
+        // aggregator.
+        u.weights = std::move(pulled);
+        kernels::vadd(u.weights.size(), delta->data(), u.weights.data());
+    }
+    agg_.push(PsPush{std::move(u), m.seq, m.clock});
+    std::lock_guard<std::mutex> lk(round_mu_);
+    ++arrived_;
+    round_cv_.notify_all();
 }
 
 bool

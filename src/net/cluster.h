@@ -169,6 +169,17 @@ class ClusterServer
     bool send_to(int id, Message m);
 
     /**
+     * Commit one validated Push (@p delta null: the update's weights
+     * are m.floats) or PushDelta (the weights are the cached pull base
+     * plus @p delta): claim the (peer, seq) job from the active
+     * round's outstanding set — a late push from an evicted or stale
+     * round is dropped — then hand the update to the aggregator and
+     * count it arrived. A claimed delta without a pull base is counted
+     * lost so the round completes instead of hanging.
+     */
+    void accept_push(int peer, Message &m, const std::vector<float> *delta);
+
+    /**
      * Evict @p id's in-flight jobs and wake the round waiter. The
      * caller owns the Alive -> Dead transition (Postoffice::mark_dead),
      * so this runs at most once per node.

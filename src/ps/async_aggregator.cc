@@ -9,6 +9,16 @@
 
 namespace autofl {
 
+namespace {
+
+/** Staleness damping exponent: updates weigh 1/(1+s)^alpha. */
+constexpr double kStalenessAlpha = 0.5;
+
+/** Extra damping of each single-update commit in Async mode. */
+constexpr double kAsyncMix = 0.25;
+
+} // namespace
+
 AsyncAggregator::AsyncAggregator(ShardedStore &store, Algorithm alg,
                                  const PsConfig &cfg)
     : store_(store), alg_(alg), cfg_(cfg)
@@ -85,7 +95,7 @@ AsyncAggregator::commit_locked()
             ++stats_.evicted;
             continue;
         }
-        factors.push_back(std::pow(1.0 + s, -cfg_.staleness_alpha));
+        factors.push_back(std::pow(1.0 + s, -kStalenessAlpha));
         staleness_sum_ += s;
         stats_.max_staleness = std::max(stats_.max_staleness, s);
         lifetime_max_staleness_ = std::max(lifetime_max_staleness_, s);
@@ -196,7 +206,7 @@ AsyncAggregator::form_commit_locked(RoundCtx &ctx, int batch_index)
         pc.updates.reserve(bucket.size());
         pc.factors.reserve(bucket.size());
         for (auto &p : bucket) {
-            pc.factors.push_back(std::pow(1.0 + s, -cfg_.staleness_alpha));
+            pc.factors.push_back(std::pow(1.0 + s, -kStalenessAlpha));
             ctx.staleness_sum += s;
             ctx.stats.max_staleness = std::max(ctx.stats.max_staleness, s);
             lifetime_max_staleness_ = std::max(lifetime_max_staleness_, s);
@@ -300,7 +310,7 @@ AsyncAggregator::apply_batch_striped(const std::vector<LocalUpdate> &updates,
     const FedAvgPlan plan = fedavg_plan(updates, &factors);
     double lambda = plan.lambda;
     if (cfg_.mode == SyncMode::Async)
-        lambda *= cfg_.async_mix;
+        lambda *= kAsyncMix;
 
     std::vector<float> staging;
     for (int s = 0; s < store_.num_shards(); ++s) {

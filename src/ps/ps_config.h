@@ -50,15 +50,6 @@ struct PsConfig
      */
     int staleness_bound = 1;
 
-    /** Staleness damping exponent: updates weigh 1/(1+s)^alpha. */
-    double staleness_alpha = 0.5;
-
-    /** Extra damping of each single-update commit in Async mode. */
-    double async_mix = 0.25;
-
-    /** Executor thread-pool size; 0 inherits FlSystemConfig::threads. */
-    int executor_threads = 0;
-
     /**
      * Streaming switch. 1 (the default) drains every round at its
      * barrier — the classic runtime. Above 1, round t+1's jobs are

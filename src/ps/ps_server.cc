@@ -1,12 +1,8 @@
 #include "ps_server.h"
 
 #include <cassert>
-#include <chrono>
 #include <condition_variable>
 #include <stdexcept>
-#include <thread>
-
-#include "util/rng.h"
 
 namespace autofl {
 
@@ -53,12 +49,6 @@ PsConfig::validate(const char *who) const
         throw std::invalid_argument(
             w + ".shards must be >= 1 (got " + std::to_string(shards) +
             "): the model store needs at least one lock stripe");
-    }
-    if (executor_threads < 0) {
-        throw std::invalid_argument(
-            w + ".executor_threads must be >= 0 (got " +
-            std::to_string(executor_threads) +
-            "): 0 inherits the system thread count");
     }
     if (snapshot_every_epochs < 1) {
         throw std::invalid_argument(
@@ -131,80 +121,37 @@ PsConfig::validate(const char *who) const
     }
 }
 
-PsServer::PsServer(Server &server, Workload workload,
-                   const FlGlobalParams &params, const TrainHyper &hyper,
-                   Algorithm alg, uint64_t seed, const PsConfig &cfg,
-                   int default_threads)
-    : server_(server), params_(params), hyper_(hyper), alg_(alg),
-      seed_(seed), cfg_(cfg),
-      store_(server.global_weights(), cfg.shards),
-      exec_(cfg.executor_threads > 0 ? cfg.executor_threads :
-                                       default_threads),
-      agg_(store_, alg, cfg)
+PsServer::PsServer(Server &server, Algorithm alg, const PsConfig &cfg,
+                   PsExecutor &exec, RoundPipeline::TrainFn train,
+                   RoundPipeline::CheckpointFn checkpoint)
+    : server_(server), cfg_(cfg), store_(server.global_weights(), cfg.shards),
+      exec_(exec), agg_(store_, alg, cfg), train_(std::move(train))
 {
-    assert(alg != Algorithm::Fedl);
-    trainers_.reserve(static_cast<size_t>(exec_.threads()));
-    for (int t = 0; t < exec_.threads(); ++t)
-        trainers_.push_back(std::make_unique<LocalTrainer>(workload));
-
-    if (!cfg_.snapshot_dir.empty()) {
-        store::RetentionPolicy retention;
-        retention.keep_last = cfg_.snapshot_keep_last;
-        retention.pinned = cfg_.snapshot_pinned;
-        ckpt_ = std::make_unique<store::CheckpointWriter>(
-            cfg_.snapshot_dir,
-            store::model_topology_hash(workload_name(workload),
-                                       server.global_weights().size()),
-            static_cast<uint32_t>(cfg_.shards), std::move(retention));
-    }
-
     if (cfg_.pipeline_depth > 1) {
-        eval_exec_ = std::make_unique<PsExecutor>(
-            std::max(1, cfg_.eval_workers));
+        eval_exec_ = std::make_unique<PsExecutor>(cfg_.eval_workers);
         pipeline_ = std::make_unique<RoundPipeline>(
-            exec_, eval_exec_.get(), agg_, store_, cfg_,
-            [this](int worker, const PsRoundJob &job,
-                   const std::vector<float> &weights, uint64_t round) {
-                if (cfg_.sim_device_latency_s > 0.0) {
-                    std::this_thread::sleep_for(
-                        std::chrono::duration<double>(
-                            cfg_.sim_latency_for(job.device_id)));
-                }
-                Rng rng = client_rng(seed_, job.device_id, round);
-                LocalUpdate u =
-                    trainers_[static_cast<size_t>(worker)]->train(
-                        weights, *job.shard, params_, hyper_, alg_, {},
-                        rng);
-                u.device_id = job.device_id;
-                return u;
-            });
-        if (ckpt_) {
-            // Persistence rides retirement: the hook shares the
-            // pipeline's own history snapshot zero-copy and the writer
-            // only enqueues — a slow disk thins artifacts, it never
-            // slows a commit wave.
-            pipeline_->set_checkpoint_hook(
-                [this](uint64_t round, uint64_t epoch,
-                       std::shared_ptr<const std::vector<float>> w) {
-                    if (cfg_.snapshot_due(round))
-                        ckpt_->request(round, epoch, std::move(w));
-                });
-        }
+            exec_, eval_exec_.get(), agg_, store_, cfg_, train_);
+        if (checkpoint)
+            pipeline_->set_checkpoint_hook(std::move(checkpoint));
     }
 }
 
-PsServer::~PsServer() = default;
+PsServer::~PsServer()
+{
+    // The training pool outlives this runtime; no job of it may still
+    // be inside the aggregator or the store when they are torn down.
+    quiesce();
+}
 
 void
 PsServer::set_eval_fn(RoundPipeline::EvalFn fn)
 {
-    eval_fn_ = fn;
     if (pipeline_)
         pipeline_->set_eval_fn(std::move(fn));
 }
 
 PsRoundStats
-PsServer::run_round(const std::vector<PsRoundJob> &jobs, uint64_t round)
+PsServer::run_round(const std::vector<int> &device_ids, uint64_t round)
 {
     if (pipeline_) {
         // Blocking wrapper over the streaming path: correct anywhere,
@@ -214,7 +161,7 @@ PsServer::run_round(const std::vector<PsRoundJob> &jobs, uint64_t round)
         std::condition_variable cv;
         bool ready = false;
         PsRoundStats stats;
-        pipeline_->submit(jobs, round,
+        pipeline_->submit(device_ids, round,
                           [&](const PsRoundResult &res) {
                               std::lock_guard<std::mutex> lk(mu);
                               stats = res.stats;
@@ -228,30 +175,22 @@ PsServer::run_round(const std::vector<PsRoundJob> &jobs, uint64_t round)
         return stats;
     }
 
-    agg_.begin_round(static_cast<int>(jobs.size()));
-    for (size_t seq = 0; seq < jobs.size(); ++seq) {
-        const PsRoundJob job = jobs[seq];
-        exec_.submit([this, job, seq, round](int worker) {
+    agg_.begin_round(static_cast<int>(device_ids.size()));
+    for (size_t seq = 0; seq < device_ids.size(); ++seq) {
+        const int dev = device_ids[seq];
+        exec_.submit([this, dev, seq, round](int worker) {
             // Clock first, snapshot second: a commit landing in between
             // makes the recorded staleness an upper bound, never an
             // undercount, so the bound stays honest.
             const uint64_t pull_clock = agg_.clock();
             const std::vector<float> weights = store_.read();
-            if (cfg_.sim_device_latency_s > 0.0) {
-                std::this_thread::sleep_for(std::chrono::duration<double>(
-                    cfg_.sim_latency_for(job.device_id)));
-            }
-            Rng rng = client_rng(seed_, job.device_id, round);
-            LocalUpdate u = trainers_[static_cast<size_t>(worker)]->train(
-                weights, *job.shard, params_, hyper_, alg_, {}, rng);
-            u.device_id = job.device_id;
+            LocalUpdate u = train_(worker, dev, weights, round);
             // The in-process push "wire": encode the delta against the
             // pulled weights and hand the aggregator the decoded
             // reconstruction — exactly what a cluster server commits.
             // None is a pure byte count, zero float ops (bit parity).
             push_payload_bytes_.fetch_add(
-                error_feedback_.compress_update(cfg_.compression,
-                                                job.device_id,
+                error_feedback_.compress_update(cfg_.compression, dev,
                                                 weights.data(), u.weights),
                 std::memory_order_relaxed);
             agg_.push(PsPush{std::move(u), static_cast<uint64_t>(seq),
@@ -261,46 +200,15 @@ PsServer::run_round(const std::vector<PsRoundJob> &jobs, uint64_t round)
     exec_.wait_idle();
     PsRoundStats stats = agg_.flush();
     server_.set_global_weights(store_.read());
-    // Classic-mode persistence point: the barrier. The store is
-    // quiescent here, so the synced server weights ARE the post-round
-    // state; the copy crosses to the writer thread and training moves
-    // on.
-    if (ckpt_ && cfg_.snapshot_due(round)) {
-        ckpt_->request(round, agg_.clock(),
-                       std::make_shared<const std::vector<float>>(
-                           server_.global_weights()));
-    }
     return stats;
 }
 
 void
-PsServer::submit_round(const std::vector<PsRoundJob> &jobs, uint64_t round,
+PsServer::submit_round(const std::vector<int> &device_ids, uint64_t round,
                        PsRoundCallback cb)
 {
-    if (pipeline_) {
-        pipeline_->submit(jobs, round, std::move(cb));
-        return;
-    }
-    // Classic mode: run the barriered round inline and score it on the
-    // calling thread, so drivers can use one streaming code path at any
-    // depth.
-    PsRoundResult res;
-    res.round = round;
-    res.stats = run_round(jobs, round);
-    res.final_epoch = agg_.clock();
-    // Empty rounds report accuracy -1, matching the pipelined contract
-    // (no new snapshot to score). The classic runtime never publishes
-    // commit snapshots, so the barrier builds an epoch-tagged one here
-    // (epoch = commit clock) for the shared serving-plane scorer —
-    // from the wrapped Server's weights, which run_round just synced
-    // from the store, sparing a second sharded read.
-    if (eval_fn_ && !jobs.empty()) {
-        res.accuracy = eval_fn_(StoreSnapshot{
-            agg_.clock(), std::make_shared<const std::vector<float>>(
-                              server_.global_weights())});
-    }
-    if (cb)
-        cb(res);
+    assert(pipeline_);
+    pipeline_->submit(device_ids, round, std::move(cb));
 }
 
 uint64_t
@@ -310,12 +218,20 @@ PsServer::push_payload_bytes() const
 }
 
 void
-PsServer::drain()
+PsServer::quiesce()
 {
+    // The job that retires a round delivers it from inside the
+    // aggregator and only then returns out of it, so the pipeline
+    // draining is not enough: the pool must go idle too.
     if (pipeline_)
         pipeline_->drain();
-    else
-        exec_.wait_idle();
+    exec_.wait_idle();
+}
+
+void
+PsServer::drain()
+{
+    quiesce();
     server_.set_global_weights(store_.read());
 }
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "ps/ps_server.h"
-
 namespace autofl {
 
 RoundPipeline::RoundPipeline(PsExecutor &exec, PsExecutor *eval_exec,
@@ -61,10 +59,10 @@ RoundPipeline::pull_epoch_for_locked() const
 }
 
 void
-RoundPipeline::submit(std::vector<PsRoundJob> jobs, uint64_t round,
+RoundPipeline::submit(std::vector<int> device_ids, uint64_t round,
                       PsRoundCallback cb, bool evaluate)
 {
-    const int expected = static_cast<int>(jobs.size());
+    const int expected = static_cast<int>(device_ids.size());
 
     RoundPlan plan;
     if (expected > 0) {
@@ -82,7 +80,7 @@ RoundPipeline::submit(std::vector<PsRoundJob> jobs, uint64_t round,
     std::unique_lock<std::mutex> lk(pmu_);
     auto e = std::make_shared<Entry>();
     e->round = round;
-    e->jobs = std::move(jobs);
+    e->device_ids = std::move(device_ids);
     e->cb = std::move(cb);
     e->plan = plan;
     e->pull_epoch = pull_epoch_for_locked();
@@ -125,11 +123,11 @@ RoundPipeline::launch_locked(Entry &e)
         history_.at(e.pull_epoch);
     const uint64_t round = e.round;
     const uint64_t pull_epoch = e.pull_epoch;
-    for (size_t seq = 0; seq < e.jobs.size(); ++seq) {
-        const PsRoundJob job = e.jobs[seq];
-        exec_.submit([this, job, seq, round, pull_epoch, weights](
+    for (size_t seq = 0; seq < e.device_ids.size(); ++seq) {
+        const int dev = e.device_ids[seq];
+        exec_.submit([this, dev, seq, round, pull_epoch, weights](
                          int worker) {
-            LocalUpdate u = train_(worker, job, *weights, round);
+            LocalUpdate u = train_(worker, dev, *weights, round);
             agg_.push_pipelined(
                 round, PsPush{std::move(u), static_cast<uint64_t>(seq),
                               pull_epoch});

@@ -56,16 +56,17 @@
 
 namespace autofl {
 
-struct PsRoundJob;
-
 /** Streaming round scheduler over the executor + aggregator + store. */
 class RoundPipeline
 {
   public:
-    /** Runs one client job against the given pulled weights. */
+    /**
+     * Runs one device's client job against the given pulled weights
+     * (FlSystem passes train_client_job over its per-worker trainers).
+     */
     using TrainFn = std::function<LocalUpdate(
-        int worker, const PsRoundJob &job,
-        const std::vector<float> &weights, uint64_t round)>;
+        int worker, int device_id, const std::vector<float> &weights,
+        uint64_t round)>;
 
     /**
      * Scores an epoch-tagged snapshot (test accuracy). The serving
@@ -120,7 +121,7 @@ class RoundPipeline
      * and skip the test-set inference). Not thread-safe against
      * itself: one driver thread submits, in increasing round order.
      */
-    void submit(std::vector<PsRoundJob> jobs, uint64_t round,
+    void submit(std::vector<int> device_ids, uint64_t round,
                 PsRoundCallback cb, bool evaluate = true);
 
     /** Block until every submitted round's callback has returned. */
@@ -130,7 +131,7 @@ class RoundPipeline
     struct Entry
     {
         uint64_t round = 0;
-        std::vector<PsRoundJob> jobs;
+        std::vector<int> device_ids;
         PsRoundCallback cb;
         RoundPlan plan;
         uint64_t pull_epoch = 0;

@@ -462,5 +462,33 @@ TEST(SnapshotLifetime, StoreBackedServiceTracksCommitEpochs)
     EXPECT_LE(acc, 1.0);
 }
 
+TEST(SnapshotLifetime, ClassicPsRuntimesServeTheirBarrierRounds)
+{
+    // The classic (depth 1) ps runtimes complete rounds at the same
+    // barrier as Sync, so every round's model reaches the serving
+    // plane — not only the driver's accuracy callback.
+    const std::vector<int> ids = {0, 1, 2, 3, 4, 5};
+    for (SyncMode mode : {SyncMode::SemiAsync, SyncMode::Async}) {
+        FlSystemConfig cfg = pipelined_system();
+        cfg.ps.mode = mode;
+        cfg.ps.staleness_bound = 0;
+        cfg.ps.pipeline_depth = 1;
+        FlSystem fl(cfg);
+        ASSERT_FALSE(fl.pipelined());
+        for (int round = 0; round < 3; ++round)
+            fl.submit_round(ids, static_cast<uint64_t>(round), nullptr);
+        fl.drain();
+
+        const uint64_t epoch = fl.serve().latest_epoch();
+        EXPECT_GT(epoch, 0u) << sync_mode_name(mode);
+        const InferenceReply reply =
+            fl.serve().query(fl.test_set().batch_x({0, 1}));
+        EXPECT_EQ(reply.status, ReplyStatus::Ok)
+            << sync_mode_name(mode) << ": "
+            << reply_status_name(reply.status);
+        EXPECT_EQ(reply.epoch, epoch) << sync_mode_name(mode);
+    }
+}
+
 } // namespace
 } // namespace autofl

@@ -11,6 +11,9 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <string>
 #include <system_error>
 #include <vector>
@@ -538,6 +541,87 @@ TEST(CrashResume, PipelinedSemiAsyncS0BitExact)
     // restore, bit-identical final weights. Depth 3 keeps rounds
     // overlapping while S=0 keeps each round single-batch.
     expect_bit_exact_resume(small_job(3, 0), "pipelined_s0");
+}
+
+/** small_job's S=0 rounds routed through a two-worker loopback cluster. */
+FlSystemConfig
+loopback_job()
+{
+    FlSystemConfig cfg = small_job(1, 0);
+    cfg.ps.net.listen = "loopback";
+    cfg.ps.net.workers = 2;
+    return cfg;
+}
+
+TEST(CrashResume, LoopbackClusterS0BitExact)
+{
+    expect_bit_exact_resume(loopback_job(), "loopback_s0");
+}
+
+/** A whole file's bytes, or "" when it cannot be opened. */
+std::string
+file_bytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+TEST(CrashResume, ArtifactsAreByteIdenticalAcrossRuntimes)
+{
+    // SemiAsync(S=0) == Sync reaches the disk: every single-commit
+    // runtime stamps the same epoch for the same round, so one round's
+    // artifact is the same bytes whichever runtime wrote it. The
+    // writer drops superseded requests by design, so a round may be
+    // missing from some runtimes; every round written by more than one
+    // must match, and so must latest.snap after flush().
+    constexpr uint64_t kRounds = 4;
+    const std::vector<std::pair<std::string, FlSystemConfig>> runs = {
+        {"sync", small_job(1, -1)},
+        {"classic_s0", small_job(1, 0)},
+        {"pipelined_s0", small_job(3, 0)},
+        {"loopback_s0", loopback_job()},
+    };
+    std::map<std::string, std::pair<std::string, std::string>> seen;
+    int compared = 0;
+    for (const auto &[tag, job] : runs) {
+        const ScratchDir dir("bytes_" + tag);
+        FlSystemConfig cfg = job;
+        cfg.ps.snapshot_dir = dir;
+        {
+            FlSystem fl(cfg);
+            run_rounds(fl, 0, kRounds - 1);
+            ASSERT_NE(fl.checkpoint_writer(), nullptr);
+            fl.checkpoint_writer()->flush();
+            ASSERT_EQ(fl.checkpoint_writer()->stats().last_status,
+                      SnapshotStatus::Ok)
+                << tag;
+        }
+        std::vector<std::string> names = {"latest.snap"};
+        for (uint64_t r = 0; r < kRounds; ++r)
+            names.push_back("model-r" + std::to_string(r) + ".snap");
+        for (const std::string &name : names) {
+            const std::string bytes = file_bytes(dir + ("/" + name).c_str());
+            if (bytes.empty()) {
+                // Superseded before the writer reached it; the last
+                // request, which latest.snap names, never is.
+                EXPECT_NE(name, "latest.snap") << tag;
+                continue;
+            }
+            auto it = seen.find(name);
+            if (it == seen.end()) {
+                seen.emplace(name, std::make_pair(tag, bytes));
+                continue;
+            }
+            EXPECT_TRUE(bytes == it->second.second)
+                << name << " differs between " << it->second.first
+                << " and " << tag;
+            ++compared;
+        }
+    }
+    // latest.snap alone gives one comparison per runtime after the
+    // first.
+    EXPECT_GE(compared, static_cast<int>(runs.size()) - 1);
 }
 
 TEST(CrashResume, ResumeRejectsWrongModelArtifact)
