@@ -9,8 +9,9 @@
  *
  * Rounds route through ClusterServer::run_round and the trained store
  * is synced back into the Server after every round, so evaluate() and
- * the serving plane work unchanged — a cluster-backed FlSystem is
- * observationally the classic one, just with the workers elsewhere.
+ * the serving plane work unchanged — a cluster-backed FlSystem commits
+ * the same bits as the classic (depth-1) in-process one at every
+ * staleness bound, just with the workers elsewhere.
  */
 #ifndef AUTOFL_FL_FL_CLUSTER_H
 #define AUTOFL_FL_FL_CLUSTER_H

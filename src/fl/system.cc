@@ -140,6 +140,7 @@ FlSystem::FlSystem(const FlSystemConfig &cfg)
         server_.set_global_weights(std::move(snap.weights));
         resumed_ = true;
         resume_round_ = snap.meta.round;
+        resume_epoch_ = snap.meta.epoch;
     }
 
     // Persistence, one writer for every runtime: the barrier runtimes
@@ -170,7 +171,8 @@ FlSystem::FlSystem(const FlSystemConfig &cfg)
             hook = [this](uint64_t round, uint64_t epoch,
                           std::shared_ptr<const std::vector<float>> w) {
                 if (cfg_.ps.snapshot_due(round))
-                    ckpt_->request(round, epoch, std::move(w));
+                    ckpt_->request(round, resume_epoch_ + epoch,
+                                   std::move(w));
             };
         }
         ps_ = std::make_unique<PsServer>(
@@ -369,7 +371,7 @@ FlSystem::checkpoint_writer()
 uint64_t
 FlSystem::barrier_epoch(uint64_t round)
 {
-    return ps_ ? ps_->aggregator().clock() : round + 1;
+    return ps_ ? resume_epoch_ + ps_->aggregator().clock() : round + 1;
 }
 
 void

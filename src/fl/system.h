@@ -201,6 +201,7 @@ class FlSystem
 
     bool resumed_ = false;
     uint64_t resume_round_ = 0;
+    uint64_t resume_epoch_ = 0;  ///< The restored artifact's epoch.
 
     // Everything the ps runtime's pipeline calls into is declared
     // before ps_, so it is destroyed after ~PsServer drains the
@@ -225,9 +226,11 @@ class FlSystem
     PsExecutor &training_pool();
 
     /**
-     * The artifact epoch a barrier round stamps: the ps commit clock,
-     * or completed rounds (round + 1) for the Sync and cluster
-     * barriers — for single-commit rounds, the same number.
+     * The artifact epoch a barrier round stamps: the ps commit clock
+     * (continuing from a resumed artifact's epoch, as the pipelined
+     * retirement hook's stamps do), or completed rounds (round + 1)
+     * for the Sync and cluster barriers — for single-commit rounds,
+     * the same number.
      */
     uint64_t barrier_epoch(uint64_t round);
 

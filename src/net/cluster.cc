@@ -16,8 +16,16 @@ ClusterServer::ClusterServer(std::vector<float> init_weights, Algorithm alg,
       monitor_(po_, cfg.net.heartbeat_timeout_ms,
                [this](int node, int silent_ms) {
                    evict_node(node, "heartbeat timeout", silent_ms);
-               })
+               }),
+      launch_(std::make_shared<const std::vector<float>>(store_.read()))
 {
+    agg_.set_hooks(nullptr, [this](uint64_t, const PsRoundStats &stats,
+                                   uint64_t) {
+        std::lock_guard<std::mutex> lk(round_mu_);
+        round_stats_ = stats;
+        round_retired_ = true;
+        round_cv_.notify_all();
+    });
     monitor_.start();
 }
 
@@ -123,16 +131,16 @@ ClusterServer::handle(Peer *peer, Message &&m)
           return;
       }
       case MsgType::PullReq: {
-          // Clock first, weights second: a commit landing in between
-          // makes the recorded staleness an upper bound, never an
-          // undercount (same discipline as the in-process runtime).
+          std::shared_ptr<const std::vector<float>> base;
+          {
+              std::lock_guard<std::mutex> lk(round_mu_);
+              base = launch_;
+          }
           Message resp;
           resp.type = MsgType::PullResp;
           resp.from = Postoffice::kServerId;
           resp.round = m.round;
           resp.seq = m.seq;
-          resp.clock = agg_.clock();
-          std::vector<float> full = store_.read();
           if (m.ints.size() == 2) {
               // Ranged pull: shard interval [lo, hi) in store stripes.
               const int lo = m.ints[0], hi = m.ints[1];
@@ -144,15 +152,11 @@ ClusterServer::handle(Peer *peer, Message &&m)
                   hi - 1, store_.dim(), store_.num_shards());
               resp.ints = {static_cast<int32_t>(begin),
                            static_cast<int32_t>(end)};
-              resp.floats.assign(full.begin() + static_cast<long>(begin),
-                                 full.begin() + static_cast<long>(end));
+              resp.floats.assign(base->begin() + static_cast<long>(begin),
+                                 base->begin() + static_cast<long>(end));
           } else {
               resp.ints = {0, static_cast<int32_t>(store_.dim())};
-              resp.floats = std::move(full);
-              if (cfg_.compression.enabled()) {
-                  std::lock_guard<std::mutex> lk(round_mu_);
-                  pull_cache_[{peer->id, m.seq}] = resp.floats;
-              }
+              resp.floats = *base;
           }
           peer->van->send(std::move(resp));
           return;
@@ -209,28 +213,19 @@ void
 ClusterServer::accept_push(int peer, Message &m,
                            const std::vector<float> *delta)
 {
-    bool accept = false;
-    std::vector<float> pulled;
+    std::shared_ptr<const std::vector<float>> base;
     {
         std::lock_guard<std::mutex> lk(round_mu_);
         auto it = outstanding_.find(peer);
-        if (round_active_ && m.round == current_round_ &&
-            it != outstanding_.end()) {
-            auto &seqs = it->second;
-            auto sit = std::find(seqs.begin(), seqs.end(), m.seq);
-            if (sit != seqs.end()) {
-                seqs.erase(sit);
-                accept = true;
-                auto pit = pull_cache_.find({peer, m.seq});
-                if (delta != nullptr && pit != pull_cache_.end()) {
-                    pulled = std::move(pit->second);
-                    pull_cache_.erase(pit);
-                }
-            }
-        }
+        if (m.round != current_round_ || it == outstanding_.end())
+            return;  // Late push from an evicted/stale round.
+        auto &seqs = it->second;
+        auto sit = std::find(seqs.begin(), seqs.end(), m.seq);
+        if (sit == seqs.end())
+            return;
+        seqs.erase(sit);
+        base = launch_;
     }
-    if (!accept)
-        return;  // Late push from an evicted/stale round.
 
     LocalUpdate u;
     u.device_id = m.ints[0];
@@ -240,30 +235,15 @@ ClusterServer::accept_push(int peer, Message &m,
     u.train_acc = m.doubles[1];
     if (!delta) {
         u.weights = std::move(m.floats);
-    } else if (pulled.size() != store_.dim()) {
-        // The job was claimed but its pull base is gone (e.g. a codec
-        // mismatch between worker and server config); the update is
-        // unreconstructable.
-        std::fprintf(stderr,
-                     "[net] worker %d push-delta seq %llu has no "
-                     "cached pull base; counting as lost\n",
-                     peer, static_cast<unsigned long long>(m.seq));
-        std::lock_guard<std::mutex> lk(round_mu_);
-        ++lost_;
-        round_cv_.notify_all();
-        return;
     } else {
         // Reconstruct the absolute weights the worker trained to: the
-        // exact pulled payload plus the decoded delta — the same floats
-        // the in-process runtime's decode-before-commit hands its
-        // aggregator.
-        u.weights = std::move(pulled);
+        // launch snapshot it pulled plus the decoded delta — the same
+        // floats the in-process runtime's decode-before-commit hands
+        // its aggregator.
+        u.weights = *base;
         kernels::vadd(u.weights.size(), delta->data(), u.weights.data());
     }
-    agg_.push(PsPush{std::move(u), m.seq, m.clock});
-    std::lock_guard<std::mutex> lk(round_mu_);
-    ++arrived_;
-    round_cv_.notify_all();
+    agg_.push_pipelined(m.round, PsPush{std::move(u), m.seq});
 }
 
 bool
@@ -277,28 +257,24 @@ ClusterServer::send_to(int id, Message m)
 void
 ClusterServer::evict_node(int id, const char *why, int silent_ms)
 {
-    size_t evicted = 0;
+    std::vector<uint64_t> seqs;
+    uint64_t round = 0;
     {
         std::lock_guard<std::mutex> lk(round_mu_);
         auto it = outstanding_.find(id);
         if (it != outstanding_.end()) {
-            evicted = it->second.size();
-            lost_ += static_cast<int>(evicted);
+            seqs = std::move(it->second);
             outstanding_.erase(it);
         }
-        for (auto pit = pull_cache_.begin(); pit != pull_cache_.end();) {
-            if (pit->first.first == id)
-                pit = pull_cache_.erase(pit);
-            else
-                ++pit;
-        }
-        // Account before waking the round waiter: run_round returns as
-        // soon as the notify lands, and callers read dead_evictions()
-        // right after.
-        dead_evictions_ += evicted;
-        round_cv_.notify_all();
+        round = current_round_;
+        // Account before the drops below: the last of them retires the
+        // round, run_round returns as soon as it does, and callers read
+        // dead_evictions() right after.
+        dead_evictions_ += seqs.size();
         barrier_cv_.notify_all();
     }
+    for (uint64_t seq : seqs)
+        agg_.drop(round, seq);
     std::fprintf(stderr,
                  "[net] worker %d gone (%s%s); evicting %zu in-flight "
                  "job%s as stale\n",
@@ -306,7 +282,7 @@ ClusterServer::evict_node(int id, const char *why, int silent_ms)
                  silent_ms > 0 ?
                      (" after " + std::to_string(silent_ms) + " ms").c_str() :
                      "",
-                 evicted, evicted == 1 ? "" : "s");
+                 seqs.size(), seqs.size() == 1 ? "" : "s");
 }
 
 PsRoundStats
@@ -315,7 +291,7 @@ ClusterServer::run_round(const std::vector<ClusterJob> &jobs, uint64_t round)
     const int n = static_cast<int>(jobs.size());
     PsRoundStats stats;
     if (n == 0)
-        return stats;
+        return stats;  // Empty rounds never reach the aggregator.
     const std::vector<int> ids = po_.alive_workers();
     if (ids.empty()) {
         std::fprintf(stderr,
@@ -327,17 +303,15 @@ ClusterServer::run_round(const std::vector<ClusterJob> &jobs, uint64_t round)
         return stats;
     }
 
-    agg_.begin_round(n);
+    agg_.register_round(round, n);
+    auto launch = std::make_shared<const std::vector<float>>(store_.read());
     std::map<int, std::vector<int32_t>> assign;  // node -> [dev, seq, ...].
     {
         std::lock_guard<std::mutex> lk(round_mu_);
-        round_active_ = true;
+        round_retired_ = false;
         current_round_ = round;
-        expected_ = n;
-        arrived_ = 0;
-        lost_ = 0;
+        launch_ = std::move(launch);
         outstanding_.clear();
-        pull_cache_.clear();
         for (int i = 0; i < n; ++i) {
             const int w = ids[static_cast<size_t>(i) % ids.size()];
             outstanding_[w].push_back(static_cast<uint64_t>(i));
@@ -356,35 +330,26 @@ ClusterServer::run_round(const std::vector<ClusterJob> &jobs, uint64_t round)
             evict_node(w, "send failed", 0);
     }
 
-    {
-        std::unique_lock<std::mutex> lk(round_mu_);
-        const auto complete = [&] { return arrived_ + lost_ >= expected_; };
-        if (cfg_.net.round_timeout_ms > 0) {
-            if (!round_cv_.wait_for(
-                    lk,
-                    std::chrono::milliseconds(cfg_.net.round_timeout_ms),
-                    complete)) {
-                // Deadline backstop: whoever still owes jobs is a
-                // straggler beyond tolerance — declare dead, evict.
-                std::vector<int> late;
-                for (const auto &[w, seqs] : outstanding_)
-                    if (!seqs.empty())
-                        late.push_back(w);
-                lk.unlock();
-                for (int w : late)
-                    if (po_.mark_dead(w))
-                        evict_node(w, "round deadline", 0);
-                lk.lock();
-                round_cv_.wait(lk, complete);
-            }
-        } else {
-            round_cv_.wait(lk, complete);
-        }
-        round_active_ = false;
-        stats = agg_.flush();
-        stats.evicted += lost_;
+    std::unique_lock<std::mutex> lk(round_mu_);
+    const auto retired = [&] { return round_retired_; };
+    if (cfg_.net.round_timeout_ms > 0 &&
+        !round_cv_.wait_for(
+            lk, std::chrono::milliseconds(cfg_.net.round_timeout_ms),
+            retired)) {
+        // Deadline backstop: whoever still owes jobs is a straggler
+        // beyond tolerance — declare dead, evict.
+        std::vector<int> late;
+        for (const auto &[w, seqs] : outstanding_)
+            if (!seqs.empty())
+                late.push_back(w);
+        lk.unlock();
+        for (int w : late)
+            if (po_.mark_dead(w))
+                evict_node(w, "round deadline", 0);
+        lk.lock();
     }
-    return stats;
+    round_cv_.wait(lk, retired);
+    return round_stats_;
 }
 
 bool

@@ -6,22 +6,23 @@
  * and speaks the wire.h protocol to worker nodes over any Transport —
  * loopback Vans, Unix sockets or TCP.
  *
- * Round protocol. run_round assigns jobs round-robin over the alive
- * workers (RoundAssign carries (device, seq) pairs; seq is the
- * submission order, which the aggregator sorts by — composition is
- * structural, so results are independent of worker placement and
- * timing). Each worker pulls the weights per job (PullResp carries the
- * aggregator clock the staleness bound is measured against), trains,
- * and pushes its update; the server feeds pushes straight into the
- * aggregator and the round completes when every job has either arrived
- * or been evicted.
+ * Round protocol. run_round registers the round with the aggregator
+ * (the same structural batching as the in-process RoundPipeline),
+ * takes the round's launch snapshot — the fully committed previous
+ * model — and assigns jobs round-robin over the alive workers
+ * (RoundAssign carries (device, seq) pairs; seq fixes the job's batch,
+ * so composition is structural and results are independent of worker
+ * placement and timing). Every PullReq of the round, ranged or full,
+ * is served from the launch snapshot, and a PushDelta decodes against
+ * it: it is exactly the base every worker pulled. Pushes go straight
+ * into the aggregator, and the round completes on its retire hook.
  *
  * Failure semantics. The Monitor declares a silent worker dead
  * (heartbeat timeout), a closed transport declares one dead
  * immediately, and the optional round deadline declares heartbeating
  * stragglers dead — in every case the node's in-flight jobs are
- * evicted through the same accounting as a staleness eviction
- * (PsRoundStats::evicted) and the round completes without them. A dead
+ * dropped from their batches (AsyncAggregator::drop), counted in
+ * PsRoundStats::evicted, and the round completes without them. A dead
  * client costs one round's contribution, never a hang.
  */
 #ifndef AUTOFL_NET_CLUSTER_H
@@ -88,9 +89,10 @@ class ClusterServer
 
     /**
      * Run one round of @p jobs across the alive workers. Blocks until
-     * every job has arrived or been evicted; returns the aggregator's
-     * stats with dead-worker losses folded into `evicted`. With no
-     * alive workers the round completes immediately, fully evicted.
+     * the round retires, every job arrived or dropped; returns the
+     * aggregator's stats, dead-worker losses counted in `evicted`.
+     * With no alive workers the round completes immediately, fully
+     * evicted.
      */
     PsRoundStats run_round(const std::vector<ClusterJob> &jobs,
                            uint64_t round);
@@ -142,24 +144,21 @@ class ClusterServer
     bool shut_ = false;
     std::atomic<uint64_t> dead_evictions_{0};
 
-    // Round state.
+    // Round state. The aggregator's retire hook takes round_mu_, so
+    // no call into the aggregator is made with it held.
     mutable std::mutex round_mu_;
     std::condition_variable round_cv_;
-    bool round_active_ = false;
+    bool round_retired_ = false;
     uint64_t current_round_ = 0;
-    int expected_ = 0;
-    int arrived_ = 0;
-    int lost_ = 0;
+    PsRoundStats round_stats_;  ///< Set by the retire hook.
     std::map<int, std::vector<uint64_t>> outstanding_;  ///< node -> seqs.
 
     /**
-     * Compressed mode only: the exact full-pull payload served per
-     * (node, seq), kept so a PushDelta can be reconstructed as
-     * pulled + decoded delta — the store advances between pull and
-     * push, so re-reading it would decode against the wrong base.
-     * Entries die with their push, their node, or their round.
+     * The weights every pull is served from and every PushDelta
+     * decodes against: the store as the latest round launched (the
+     * initial weights before the first round).
      */
-    std::map<std::pair<int, uint64_t>, std::vector<float>> pull_cache_;
+    std::shared_ptr<const std::vector<float>> launch_;
 
     // Barrier state.
     std::condition_variable barrier_cv_;
@@ -170,19 +169,17 @@ class ClusterServer
 
     /**
      * Commit one validated Push (@p delta null: the update's weights
-     * are m.floats) or PushDelta (the weights are the cached pull base
+     * are m.floats) or PushDelta (the weights are the launch snapshot
      * plus @p delta): claim the (peer, seq) job from the active
      * round's outstanding set — a late push from an evicted or stale
-     * round is dropped — then hand the update to the aggregator and
-     * count it arrived. A claimed delta without a pull base is counted
-     * lost so the round completes instead of hanging.
+     * round is dropped — then hand the update to the aggregator.
      */
     void accept_push(int peer, Message &m, const std::vector<float> *delta);
 
     /**
-     * Evict @p id's in-flight jobs and wake the round waiter. The
-     * caller owns the Alive -> Dead transition (Postoffice::mark_dead),
-     * so this runs at most once per node.
+     * Drop @p id's in-flight jobs from the round and wake the barrier
+     * waiter. The caller owns the Alive -> Dead transition
+     * (Postoffice::mark_dead), so this runs at most once per node.
      */
     void evict_node(int id, const char *why, int silent_ms);
 };

@@ -55,6 +55,18 @@ get_u64(const uint8_t *p)
     return v;
 }
 
+/**
+ * memcpy for one payload section. An empty section's vector may hand
+ * out a null data(), and memcpy from or to null is undefined even for
+ * zero bytes, so empty sections copy nothing.
+ */
+void
+copy_section(void *dst, const void *src, size_t n)
+{
+    if (n > 0)
+        std::memcpy(dst, src, n);
+}
+
 /** Fixed metadata bytes at the head of every payload. */
 constexpr size_t kMetaBytes = 4 + 8 + 8 + 8 + 5 * 4;  // from,r,s,c + counts.
 
@@ -153,15 +165,15 @@ frame_message(const Message &m)
     const size_t meta_end = b.size();
     b.resize(kWireHeaderBytes + payload);
     uint8_t *p = b.data() + meta_end;
-    std::memcpy(p, m.ints.data(), 4 * m.ints.size());
+    copy_section(p, m.ints.data(), 4 * m.ints.size());
     p += 4 * m.ints.size();
-    std::memcpy(p, m.floats.data(), 4 * m.floats.size());
+    copy_section(p, m.floats.data(), 4 * m.floats.size());
     p += 4 * m.floats.size();
-    std::memcpy(p, m.doubles.data(), 8 * m.doubles.size());
+    copy_section(p, m.doubles.data(), 8 * m.doubles.size());
     p += 8 * m.doubles.size();
-    std::memcpy(p, m.text.data(), m.text.size());
+    copy_section(p, m.text.data(), m.text.size());
     p += m.text.size();
-    std::memcpy(p, m.bytes.data(), m.bytes.size());
+    copy_section(p, m.bytes.data(), m.bytes.size());
     return b;
 }
 
@@ -218,18 +230,18 @@ parse_frame(const uint8_t *data, size_t len, Message *out, size_t *consumed)
 
     p += kMetaBytes;
     m.ints.resize(n_ints);
-    std::memcpy(m.ints.data(), p, 4 * n_ints);
+    copy_section(m.ints.data(), p, 4 * n_ints);
     p += 4 * n_ints;
     m.floats.resize(n_floats);
-    std::memcpy(m.floats.data(), p, 4 * n_floats);
+    copy_section(m.floats.data(), p, 4 * n_floats);
     p += 4 * n_floats;
     m.doubles.resize(n_doubles);
-    std::memcpy(m.doubles.data(), p, 8 * n_doubles);
+    copy_section(m.doubles.data(), p, 8 * n_doubles);
     p += 8 * n_doubles;
     m.text.assign(reinterpret_cast<const char *>(p), n_text);
     p += n_text;
     m.bytes.resize(n_bytes);
-    std::memcpy(m.bytes.data(), p, n_bytes);
+    copy_section(m.bytes.data(), p, n_bytes);
 
     *out = std::move(m);
     *consumed = kWireHeaderBytes + payload;

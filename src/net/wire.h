@@ -41,11 +41,11 @@ using autofl::EncodedDelta;
  * Shutdown (server tells workers to exit).
  *
  * Data plane: RoundAssign (server -> worker: device/seq job pairs),
- * PullReq/PullResp (worker pulls a weight-shard range; the response
- * carries the aggregator clock the staleness bound is measured
- * against), Push (worker returns its trained update with provenance),
- * PushDelta (the compressed form: an encoded delta against the pulled
- * weights — see ps/compression.h — with the same provenance).
+ * PullReq/PullResp (worker pulls a weight-shard range of the round's
+ * launch snapshot), Push (worker returns its trained update with
+ * provenance), PushDelta (the compressed form: an encoded delta
+ * against the pulled weights — see ps/compression.h — with the same
+ * provenance).
  */
 enum class MsgType : uint16_t {
     Join = 1,
@@ -76,7 +76,7 @@ struct Message
     int32_t from = -1;   ///< Sender node id (-1 before JoinAck).
     uint64_t round = 0;  ///< FL round the message belongs to.
     uint64_t seq = 0;    ///< Job sequence / request id / barrier id.
-    uint64_t clock = 0;  ///< Aggregator clock (pull staleness reference).
+    uint64_t clock = 0;  ///< Reserved; the round protocol leaves it 0.
 
     std::vector<int32_t> ints;    ///< Job pairs, shard ranges, counts.
     std::vector<float> floats;    ///< Weight payloads (bit-exact).

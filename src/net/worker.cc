@@ -140,7 +140,6 @@ ClusterWorker::pull(uint64_t round, uint64_t seq, WorkerJob *job)
         if (m.type == MsgType::PullResp && m.seq == seq &&
             m.round == round) {
             job->weights = std::move(m.floats);
-            job->pull_clock = m.clock;
             return true;
         }
         if (m.type == MsgType::HeartbeatAck)
@@ -211,7 +210,6 @@ ClusterWorker::run(const JobFn &fn)
                   push.from = id_;
                   push.round = m.round;
                   push.seq = job.seq;
-                  push.clock = job.pull_clock;
                   if (!van_->send(std::move(push)))
                       return false;
                   ++jobs_done_;

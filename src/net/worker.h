@@ -2,9 +2,9 @@
  * @file
  * ClusterWorker: the worker node of the distributed parameter-server
  * runtime. Joins the server, heartbeats on a background thread, and
- * processes RoundAssign jobs sequentially: pull the round's weights
- * (the response carries the aggregator clock), invoke the caller's
- * train function, push the update with its provenance.
+ * processes RoundAssign jobs sequentially: pull the round's weights,
+ * invoke the caller's train function, push the update with its
+ * provenance.
  *
  * The worker is deliberately policy-free: it knows nothing about
  * datasets or training — the JobFn owns all of that — so net/ stays
@@ -43,7 +43,6 @@ struct WorkerJob
     uint64_t round = 0;
     uint64_t seq = 0;             ///< Driver-assigned; aggregator sort key.
     std::vector<float> weights;   ///< Pulled global model.
-    uint64_t pull_clock = 0;      ///< Aggregator clock at the pull.
 };
 
 /** Trains one job; the returned update is pushed verbatim. */

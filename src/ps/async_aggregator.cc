@@ -39,87 +39,8 @@ AsyncAggregator::threshold_for(int expected_updates) const
         std::max(1, (expected_updates + s) / (s + 1)));
 }
 
-// ----------------------------------------------------------- classic --
-
 void
-AsyncAggregator::begin_round(int expected_updates)
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    assert(buffer_.empty());
-    stats_ = PsRoundStats{};
-    staleness_sum_ = 0.0;
-    threshold_ = threshold_for(expected_updates);
-}
-
-void
-AsyncAggregator::push(PsPush p)
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.pushed;
-    buffer_.push_back(std::move(p));
-    if (buffer_.size() >= threshold_)
-        commit_locked();
-}
-
-PsRoundStats
-AsyncAggregator::flush()
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    commit_locked();
-    if (stats_.applied > 0)
-        stats_.mean_staleness = staleness_sum_ / stats_.applied;
-    return stats_;
-}
-
-void
-AsyncAggregator::commit_locked()
-{
-    if (buffer_.empty())
-        return;
-
-    // Deterministic composition: commit in submission order regardless
-    // of which worker thread finished first.
-    std::sort(buffer_.begin(), buffer_.end(),
-              [](const PsPush &a, const PsPush &b) { return a.seq < b.seq; });
-
-    std::vector<LocalUpdate> applied;
-    std::vector<double> factors;
-    applied.reserve(buffer_.size());
-    factors.reserve(buffer_.size());
-    for (auto &p : buffer_) {
-        // pull_clock was read before the snapshot, so this staleness is
-        // an upper bound on what the job actually saw — the bound is
-        // enforced conservatively.
-        const int s = static_cast<int>(clock_ - p.pull_clock);
-        if (cfg_.mode == SyncMode::SemiAsync && s > cfg_.staleness_bound) {
-            ++stats_.evicted;
-            continue;
-        }
-        factors.push_back(std::pow(1.0 + s, -kStalenessAlpha));
-        staleness_sum_ += s;
-        stats_.max_staleness = std::max(stats_.max_staleness, s);
-        lifetime_max_staleness_ = std::max(lifetime_max_staleness_, s);
-        applied.push_back(std::move(p.update));
-    }
-    buffer_.clear();
-    if (applied.empty())
-        return;  // Everything evicted: no commit, clock unchanged.
-
-    // Classic mode has no snapshot consumers (the pipeline — the only
-    // reader of the epoch history — is never constructed at depth 1),
-    // so commits skip the per-commit snapshot copy entirely.
-    apply_batch_striped(applied, factors, clock_, nullptr);
-
-    stats_.applied += static_cast<int>(applied.size());
-    ++stats_.commits;
-    ++clock_;
-}
-
-// --------------------------------------------------------- pipelined --
-
-void
-AsyncAggregator::set_pipeline_hooks(SnapshotHook on_snapshot,
-                                    RetireHook on_retire)
+AsyncAggregator::set_hooks(SnapshotHook on_snapshot, RetireHook on_retire)
 {
     std::lock_guard<std::mutex> lk(mu_);
     on_snapshot_ = std::move(on_snapshot);
@@ -129,8 +50,8 @@ AsyncAggregator::set_pipeline_hooks(SnapshotHook on_snapshot,
 RoundPlan
 AsyncAggregator::register_round(uint64_t round, int expected_updates)
 {
-    // Empty rounds never reach the aggregator: RoundPipeline retires
-    // them on the spot without consuming commit clocks.
+    // Empty rounds never reach the aggregator: callers retire them on
+    // the spot without consuming commit clocks.
     assert(expected_updates > 0);
 
     std::lock_guard<std::mutex> lk(mu_);
@@ -154,25 +75,42 @@ AsyncAggregator::register_round(uint64_t round, int expected_updates)
 void
 AsyncAggregator::push_pipelined(uint64_t round, PsPush p)
 {
+    deposit(round, p.seq, &p);
+}
+
+void
+AsyncAggregator::drop(uint64_t round, uint64_t seq)
+{
+    deposit(round, seq, nullptr);
+}
+
+void
+AsyncAggregator::deposit(uint64_t round, uint64_t seq, PsPush *p)
+{
     std::unique_lock<std::mutex> lk(mu_);
     auto it = rounds_.find(round);
     assert(it != rounds_.end());
     RoundCtx &ctx = it->second;
-    ++ctx.stats.pushed;
 
-    const int bidx = static_cast<int>(p.seq / ctx.plan.threshold);
+    const int bidx = static_cast<int>(seq / ctx.plan.threshold);
     assert(bidx >= 0 && bidx < ctx.plan.num_batches);
-    auto &bucket = ctx.buckets[static_cast<size_t>(bidx)];
-    bucket.push_back(std::move(p));
+    Bucket &bucket = ctx.buckets[static_cast<size_t>(bidx)];
+    if (p) {
+        ++ctx.stats.pushed;
+        bucket.arrived.push_back(std::move(*p));
+    } else {
+        ++bucket.dropped;
+    }
 
     // Sequence-contiguous batches: batch b is seqs [bT, (b+1)T) and
-    // closes when its last member arrives — composition is structural,
-    // never a race.
+    // closes when its last member is accounted for — composition is
+    // structural, never a race.
     const size_t begin = static_cast<size_t>(bidx) * ctx.plan.threshold;
     const size_t end =
         std::min(static_cast<size_t>(ctx.plan.expected),
                  begin + ctx.plan.threshold);
-    if (bucket.size() == end - begin)
+    if (bucket.arrived.size() + static_cast<size_t>(bucket.dropped) ==
+        end - begin)
         form_commit_locked(ctx, bidx);
     pump(lk);
 }
@@ -180,43 +118,48 @@ AsyncAggregator::push_pipelined(uint64_t round, PsPush p)
 void
 AsyncAggregator::form_commit_locked(RoundCtx &ctx, int batch_index)
 {
-    auto &bucket = ctx.buckets[static_cast<size_t>(batch_index)];
-    std::sort(bucket.begin(), bucket.end(),
+    Bucket &bucket = ctx.buckets[static_cast<size_t>(batch_index)];
+    auto &arrived = bucket.arrived;
+    std::sort(arrived.begin(), arrived.end(),
               [](const PsPush &a, const PsPush &b) { return a.seq < b.seq; });
 
     PendingCommit pc;
     pc.clock = ctx.plan.base_clock + static_cast<uint64_t>(batch_index);
     pc.round = ctx.plan.round;
-    // Only two of a round's epochs are ever read: the first commit
-    // (the next round's pull) and the last (retirement-time eval).
-    // Intermediate commits skip the snapshot copy entirely.
-    pc.publish = batch_index == 0 ||
-        batch_index == ctx.plan.num_batches - 1;
+    // At most two of a round's epochs are ever read: the last commit
+    // (retirement-time eval, and the next round's pull at depth 1) and,
+    // when pipelined, the first (the next round's pull). Other
+    // commits, and every commit when nobody consumes snapshots, skip
+    // the snapshot copy entirely.
+    pc.publish = on_snapshot_ &&
+        (batch_index == ctx.plan.num_batches - 1 ||
+         (batch_index == 0 && cfg_.pipeline_depth > 1));
 
     // Round-local staleness: every job of the round pulled the round's
     // launch snapshot, so batch b commits b own-round commits after its
     // pull. With T = ceil(K / (S+1)) this never exceeds the bound — the
     // guard below only fires if a round was registered with a batch
-    // count beyond S+1. An evicted batch still consumes its commit slot
-    // (an empty commit) so the structural clock arithmetic holds.
+    // count beyond S+1. A batch with no applied update (evicted, or
+    // every member dropped) still consumes its commit slot (an empty
+    // commit) so the structural clock arithmetic holds.
+    ctx.stats.evicted += bucket.dropped;
     const int s = batch_index;
     if (cfg_.mode == SyncMode::SemiAsync && s > cfg_.staleness_bound) {
-        ctx.stats.evicted += static_cast<int>(bucket.size());
-    } else {
-        pc.updates.reserve(bucket.size());
-        pc.factors.reserve(bucket.size());
-        for (auto &p : bucket) {
+        ctx.stats.evicted += static_cast<int>(arrived.size());
+    } else if (!arrived.empty()) {
+        pc.updates.reserve(arrived.size());
+        pc.factors.reserve(arrived.size());
+        for (auto &p : arrived) {
             pc.factors.push_back(std::pow(1.0 + s, -kStalenessAlpha));
             ctx.staleness_sum += s;
             ctx.stats.max_staleness = std::max(ctx.stats.max_staleness, s);
             lifetime_max_staleness_ = std::max(lifetime_max_staleness_, s);
             pc.updates.push_back(std::move(p.update));
         }
-        ctx.stats.applied += static_cast<int>(bucket.size());
+        ctx.stats.applied += static_cast<int>(arrived.size());
         ++ctx.stats.commits;
     }
-    bucket.clear();
-    bucket.shrink_to_fit();
+    bucket = Bucket{};
     ready_.emplace(pc.clock, std::move(pc));
 }
 
@@ -270,7 +213,7 @@ AsyncAggregator::apply_commit(PendingCommit &pc)
     if (pc.publish)
         snap = std::make_shared<std::vector<float>>(store_.dim());
     if (pc.updates.empty()) {
-        // Evicted batch: a no-op commit that still advances every
+        // Nothing to apply: a no-op commit that still advances every
         // shard's turn (and snapshots the unchanged content when this
         // epoch is a consumed one).
         for (int s = 0; s < store_.num_shards(); ++s)
@@ -285,8 +228,6 @@ AsyncAggregator::apply_commit(PendingCommit &pc)
     if (on_snapshot_)
         on_snapshot_(StoreSnapshot{epoch, std::move(snap)});
 }
-
-// ------------------------------------------------------------ shared --
 
 void
 AsyncAggregator::apply_batch_striped(const std::vector<LocalUpdate> &updates,

@@ -9,8 +9,9 @@
  * every earlier commit, so two consecutive commits wave through the
  * stripes in parallel (commit c+1 writes shard 0 while commit c is
  * still writing shard 1) yet every shard sees commits in exactly clock
- * order. Each completed wave publishes an immutable StoreSnapshot for
- * epoch-gated pulls and concurrent evaluation.
+ * order. A round's last commit (and, when pipelined, its first)
+ * publishes an immutable StoreSnapshot for epoch-gated pulls and
+ * concurrent evaluation.
  *
  * Commit rule (FedAvg family): with staleness factors f_j = (1+s_j)^-a
  * and masses e_j = f_j * n_j,
@@ -23,20 +24,17 @@
  * fedavg_combine arithmetic the synchronous Server runs — which is why
  * SemiAsync(S=0) reproduces synchronous FedAvg bit-for-bit.
  *
- * Two batching disciplines share the commit engine:
- *
- * - **Classic** (begin_round/push/flush; pipeline_depth == 1): one
- *   round at a time, arrival-order batches of ceil(K / (S+1)) pushes
- *   (1 in Async mode), staleness measured against the aggregator clock
- *   at pull time, updates staler than the bound S evicted — exactly the
- *   PR-1 semantics.
- * - **Pipelined** (register_round/push_pipelined): several rounds in
- *   flight. Batches are *sequence-contiguous* (batch b of round r is
- *   seqs [bT, (b+1)T)), commits retire in (round, batch) order, and a
- *   round's staleness is its batch index — all structural, which is
- *   what makes pipelined execution deterministic: two runs with the
- *   same seed commit identical batches in identical order regardless of
- *   thread interleaving.
+ * Batching is *structural*, one discipline for every runtime (the
+ * in-process RoundPipeline at any depth and the cluster server alike):
+ * a round registers its size up front, batch b of round r is seqs
+ * [bT, (b+1)T) with T = ceil(K / (S+1)) (1 in Async mode), commits
+ * retire in (round, batch) order, and an update's staleness is its
+ * batch index. Every job of a round pulls the round's launch snapshot,
+ * so batch b lands b own-round commits after that pull. Two runs with
+ * the same seed therefore commit identical batches in identical order
+ * whatever the thread count or the interleaving. A job that will never
+ * push (its worker died) is dropped: it closes its batch like an
+ * arrival and counts as evicted.
  */
 #ifndef AUTOFL_PS_ASYNC_AGGREGATOR_H
 #define AUTOFL_PS_ASYNC_AGGREGATOR_H
@@ -54,15 +52,14 @@
 
 namespace autofl {
 
-/** One client push: the update plus its provenance. */
+/** One client push: the update plus its place in the round. */
 struct PsPush
 {
     LocalUpdate update;
-    uint64_t seq = 0;         ///< Submission order within the round.
-    uint64_t pull_clock = 0;  ///< Aggregator clock when weights were pulled.
+    uint64_t seq = 0;  ///< Submission order within the round.
 };
 
-/** Structural layout of one pipelined round, fixed at registration. */
+/** Structural layout of one round, fixed at registration. */
 struct RoundPlan
 {
     uint64_t round = 0;
@@ -83,23 +80,6 @@ class AsyncAggregator
      */
     AsyncAggregator(ShardedStore &store, Algorithm alg, const PsConfig &cfg);
 
-    // ------------------------------------------------- classic mode --
-
-    /**
-     * Start a round of @p expected_updates pushes: resets round stats
-     * and sets the commit threshold (the clock is *not* reset — it is
-     * the staleness reference across the job's lifetime).
-     */
-    void begin_round(int expected_updates);
-
-    /** Thread-safe push; may trigger a commit when the threshold fills. */
-    void push(PsPush p);
-
-    /** Commit any buffered remainder and return the round's stats. */
-    PsRoundStats flush();
-
-    // ----------------------------------------------- pipelined mode --
-
     /** A commit's wave finished; its snapshot epoch is live. */
     using SnapshotHook = std::function<void(const StoreSnapshot &)>;
 
@@ -108,28 +88,34 @@ class AsyncAggregator
         uint64_t round, const PsRoundStats &stats, uint64_t final_epoch)>;
 
     /**
-     * Install the pipeline callbacks. Both are invoked from whichever
-     * worker thread completed the triggering commit, with no aggregator
-     * lock held.
+     * Install the callbacks. Both are invoked from whichever thread
+     * completed the triggering commit, with no aggregator lock held.
+     * Without a snapshot hook no commit is snapshotted.
      */
-    void set_pipeline_hooks(SnapshotHook on_snapshot, RetireHook on_retire);
+    void set_hooks(SnapshotHook on_snapshot, RetireHook on_retire);
 
     /**
-     * Register a pipelined round. Rounds must be registered in
-     * submission order; the returned plan fixes the round's batch
-     * layout and commit-clock range, from which the pipeline derives
-     * its (structural, deterministic) pull epochs.
+     * Register a round of @p expected_updates > 0 jobs. Rounds must be
+     * registered in submission order; the returned plan fixes the
+     * round's batch layout and commit-clock range, from which callers
+     * derive their (structural, deterministic) pull epochs.
      */
     RoundPlan register_round(uint64_t round, int expected_updates);
 
     /**
-     * Thread-safe pipelined push. Completing a batch parks it until its
-     * commit clock is next to retire, then the depositing thread drives
-     * every consecutively-ready commit through the striped wave.
+     * Thread-safe push. Completing a batch parks it until its commit
+     * clock is next to retire, then the depositing thread drives every
+     * consecutively-ready commit through the striped wave (and the
+     * retire hook, when the commit ends its round).
      */
     void push_pipelined(uint64_t round, PsPush p);
 
-    // ------------------------------------------------------- shared --
+    /**
+     * Give up on job @p seq of @p round: it counts as evicted and
+     * closes its batch like an arrival would, so the round retires
+     * without it. Same threading as push_pipelined.
+     */
+    void drop(uint64_t round, uint64_t seq);
 
     /** Logical commit clock (total commit slots consumed so far). */
     uint64_t clock() const;
@@ -144,15 +130,22 @@ class AsyncAggregator
         uint64_t clock = 0;
         uint64_t round = 0;
         bool publish = false;  ///< Snapshot this commit's epoch.
-        std::vector<LocalUpdate> updates;  ///< Empty == evicted batch.
+        std::vector<LocalUpdate> updates;  ///< Empty: nothing to apply.
         std::vector<double> factors;
     };
 
-    /** Bookkeeping for one in-flight pipelined round. */
+    /** One batch's arrivals and drops, until it closes. */
+    struct Bucket
+    {
+        std::vector<PsPush> arrived;
+        int dropped = 0;
+    };
+
+    /** Bookkeeping for one in-flight round. */
     struct RoundCtx
     {
         RoundPlan plan;
-        std::vector<std::vector<PsPush>> buckets;  ///< Arrivals per batch.
+        std::vector<Bucket> buckets;
         int batches_applied = 0;
         PsRoundStats stats;
         double staleness_sum = 0.0;
@@ -164,13 +157,6 @@ class AsyncAggregator
 
     mutable std::mutex mu_;
 
-    // Classic mode.
-    std::vector<PsPush> buffer_;
-    size_t threshold_ = 1;
-    PsRoundStats stats_;
-    double staleness_sum_ = 0.0;
-
-    // Pipelined mode.
     std::map<uint64_t, RoundCtx> rounds_;
     std::map<uint64_t, PendingCommit> ready_;
     uint64_t next_base_clock_ = 0;
@@ -178,12 +164,17 @@ class AsyncAggregator
     SnapshotHook on_snapshot_;
     RetireHook on_retire_;
 
-    // Shared.
     uint64_t clock_ = 0;
     int lifetime_max_staleness_ = 0;
 
     size_t threshold_for(int expected_updates) const;
-    void commit_locked();
+
+    /**
+     * Account job @p seq of @p round as arrived (@p p) or dropped
+     * (null), form its batch's commit once every member is accounted
+     * for, then drive the ready commits.
+     */
+    void deposit(uint64_t round, uint64_t seq, PsPush *p);
     void form_commit_locked(RoundCtx &ctx, int batch_index);
     void pump(std::unique_lock<std::mutex> &lk);
     void apply_commit(PendingCommit &pc);

@@ -167,7 +167,7 @@ class ErrorFeedback
                         std::vector<float> *decoded = nullptr);
 
     /**
-     * In-process round trip for the classic (non-cluster) runtime:
+     * In-process round trip for the in-process ps runtime's jobs:
      * replaces @p weights with pulled + decode(encode(weights -
      * pulled)) under error feedback, returning the would-be wire
      * payload bytes. None mode leaves @p weights untouched (zero

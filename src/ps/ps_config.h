@@ -44,15 +44,17 @@ struct PsConfig
     int shards = 8;
 
     /**
-     * Staleness bound S (SemiAsync only): an update pulled at clock t is
-     * evicted when committed at clock > t + S. 0 reproduces synchronous
-     * FedAvg exactly.
+     * Staleness bound S (SemiAsync only): a round commits in at most
+     * S+1 sequence-contiguous batches and an update's staleness is its
+     * batch index, so none exceeds S. 0 reproduces synchronous FedAvg
+     * exactly.
      */
     int staleness_bound = 1;
 
     /**
      * Streaming switch. 1 (the default) drains every round at its
-     * barrier — the classic runtime. Above 1, round t+1's jobs are
+     * barrier — the classic runtime: a round launches at the previous
+     * round's last commit. Above 1, round t+1's jobs are
      * launched as soon as round t's first commit publishes a store
      * snapshot, so training structurally overlaps two rounds (the
      * previous round's straggler tail plus the current round) while

@@ -125,15 +125,29 @@ PsServer::PsServer(Server &server, Algorithm alg, const PsConfig &cfg,
                    PsExecutor &exec, RoundPipeline::TrainFn train,
                    RoundPipeline::CheckpointFn checkpoint)
     : server_(server), cfg_(cfg), store_(server.global_weights(), cfg.shards),
-      exec_(exec), agg_(store_, alg, cfg), train_(std::move(train))
+      exec_(exec), agg_(store_, alg, cfg)
 {
-    if (cfg_.pipeline_depth > 1) {
+    if (pipelined())
         eval_exec_ = std::make_unique<PsExecutor>(cfg_.eval_workers);
-        pipeline_ = std::make_unique<RoundPipeline>(
-            exec_, eval_exec_.get(), agg_, store_, cfg_, train_);
-        if (checkpoint)
-            pipeline_->set_checkpoint_hook(std::move(checkpoint));
-    }
+    // The in-process push "wire": encode the delta against the pulled
+    // weights and hand the aggregator the decoded reconstruction —
+    // exactly what a cluster server commits. None is a pure byte
+    // count, zero float ops (bit parity).
+    RoundPipeline::TrainFn job =
+        [this, train = std::move(train)](int worker, int dev,
+                                         const std::vector<float> &weights,
+                                         uint64_t round) {
+            LocalUpdate u = train(worker, dev, weights, round);
+            push_payload_bytes_.fetch_add(
+                error_feedback_.compress_update(cfg_.compression, dev,
+                                                weights.data(), u.weights),
+                std::memory_order_relaxed);
+            return u;
+        };
+    pipeline_ = std::make_unique<RoundPipeline>(
+        exec_, eval_exec_.get(), agg_, store_, cfg_, std::move(job));
+    if (checkpoint && pipelined())
+        pipeline_->set_checkpoint_hook(std::move(checkpoint));
 }
 
 PsServer::~PsServer()
@@ -146,59 +160,28 @@ PsServer::~PsServer()
 void
 PsServer::set_eval_fn(RoundPipeline::EvalFn fn)
 {
-    if (pipeline_)
-        pipeline_->set_eval_fn(std::move(fn));
+    pipeline_->set_eval_fn(std::move(fn));
 }
 
 PsRoundStats
 PsServer::run_round(const std::vector<int> &device_ids, uint64_t round)
 {
-    if (pipeline_) {
-        // Blocking wrapper over the streaming path: correct anywhere,
-        // overlapping nothing. It returns stats only, so the round is
-        // submitted unevaluated — no discarded test-set inference.
-        std::mutex mu;
-        std::condition_variable cv;
-        bool ready = false;
-        PsRoundStats stats;
-        pipeline_->submit(device_ids, round,
-                          [&](const PsRoundResult &res) {
-                              std::lock_guard<std::mutex> lk(mu);
-                              stats = res.stats;
-                              ready = true;
-                              cv.notify_one();
-                          },
-                          /*evaluate=*/false);
-        std::unique_lock<std::mutex> lk(mu);
-        cv.wait(lk, [&] { return ready; });
-        server_.set_global_weights(store_.read());
-        return stats;
-    }
-
-    agg_.begin_round(static_cast<int>(device_ids.size()));
-    for (size_t seq = 0; seq < device_ids.size(); ++seq) {
-        const int dev = device_ids[seq];
-        exec_.submit([this, dev, seq, round](int worker) {
-            // Clock first, snapshot second: a commit landing in between
-            // makes the recorded staleness an upper bound, never an
-            // undercount, so the bound stays honest.
-            const uint64_t pull_clock = agg_.clock();
-            const std::vector<float> weights = store_.read();
-            LocalUpdate u = train_(worker, dev, weights, round);
-            // The in-process push "wire": encode the delta against the
-            // pulled weights and hand the aggregator the decoded
-            // reconstruction — exactly what a cluster server commits.
-            // None is a pure byte count, zero float ops (bit parity).
-            push_payload_bytes_.fetch_add(
-                error_feedback_.compress_update(cfg_.compression, dev,
-                                                weights.data(), u.weights),
-                std::memory_order_relaxed);
-            agg_.push(PsPush{std::move(u), static_cast<uint64_t>(seq),
-                             pull_clock});
-        });
-    }
-    exec_.wait_idle();
-    PsRoundStats stats = agg_.flush();
+    // It returns stats only, so the round is submitted unevaluated —
+    // no discarded test-set inference.
+    std::mutex mu;
+    std::condition_variable cv;
+    bool ready = false;
+    PsRoundStats stats;
+    pipeline_->submit(device_ids, round,
+                      [&](const PsRoundResult &res) {
+                          std::lock_guard<std::mutex> lk(mu);
+                          stats = res.stats;
+                          ready = true;
+                          cv.notify_one();
+                      },
+                      /*evaluate=*/false);
+    std::unique_lock<std::mutex> lk(mu);
+    cv.wait(lk, [&] { return ready; });
     server_.set_global_weights(store_.read());
     return stats;
 }
@@ -207,7 +190,7 @@ void
 PsServer::submit_round(const std::vector<int> &device_ids, uint64_t round,
                        PsRoundCallback cb)
 {
-    assert(pipeline_);
+    assert(pipelined());
     pipeline_->submit(device_ids, round, std::move(cb));
 }
 
@@ -223,8 +206,7 @@ PsServer::quiesce()
     // The job that retires a round delivers it from inside the
     // aggregator and only then returns out of it, so the pipeline
     // draining is not enough: the pool must go idle too.
-    if (pipeline_)
-        pipeline_->drain();
+    pipeline_->drain();
     exec_.wait_idle();
 }
 

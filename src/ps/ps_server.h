@@ -1,8 +1,8 @@
 /**
  * @file
  * PsServer: the parameter-server runtime facade. Owns the sharded model
- * store, the bounded-staleness aggregator and — when
- * PsConfig::pipeline_depth > 1 — the streaming RoundPipeline plus a
+ * store, the bounded-staleness aggregator and the RoundPipeline every
+ * round runs through, plus — when PsConfig::pipeline_depth > 1 — a
  * concurrent snapshot-eval pool. The training pool, the client job and
  * the checkpoint hook are FlSystem's, passed in; round completion
  * (persistence, evaluation, serving publication) is FlSystem's too.
@@ -37,9 +37,12 @@ class PsServer
      * @param cfg Runtime knobs.
      * @param exec Training pool; must outlive this object (the
      *        destructor drains the pipeline's jobs on it).
-     * @param train The client job, run on @p exec once per device.
+     * @param train The client job, run on @p exec once per device;
+     *        its update passes through the push-compression step
+     *        before the aggregator sees it.
      * @param checkpoint Pipelined mode's persistence hook, invoked as
-     *        each round retires; may be empty.
+     *        each round retires; may be empty. Unused at depth 1,
+     *        where FlSystem checkpoints at its round barrier.
      */
     PsServer(Server &server, Algorithm alg, const PsConfig &cfg,
              PsExecutor &exec, RoundPipeline::TrainFn train,
@@ -47,28 +50,22 @@ class PsServer
 
     ~PsServer();
 
-    /** Whether the streaming pipeline (depth > 1) is active. */
-    bool pipelined() const { return pipeline_ != nullptr; }
+    /** Whether rounds overlap (pipeline_depth > 1). */
+    bool pipelined() const { return cfg_.pipeline_depth > 1; }
 
     /**
      * Install the snapshot scorer used by the concurrent eval workers
-     * (pipelined mode; ignored otherwise). Must be thread-safe.
+     * (pipelined mode; never called otherwise). Must be thread-safe.
      */
     void set_eval_fn(RoundPipeline::EvalFn fn);
 
     /**
-     * Run one round of @p device_ids to completion.
-     *
-     * Classic mode (pipeline_depth == 1): submit every job (in order —
-     * submission order is the deterministic aggregation order), wait
-     * for the stream to drain, flush the aggregator and write the store
-     * back into the wrapped Server. Jobs pull the freshest
-     * per-shard-consistent weights when they *start*, so with more jobs
-     * than executor threads later jobs train on mid-round commits — the
-     * semi-async pipeline.
-     *
-     * Pipelined mode: submit through the pipeline and block for this
-     * round's result — correct but sequential; callers wanting overlap
+     * Run one round of @p device_ids to completion: submit it through
+     * the pipeline, block until it retires and write the store back
+     * into the wrapped Server. At depth 1 the round launches at the
+     * previous round's last commit, so rounds never overlap and each
+     * trains on the fully committed previous model; deeper pipelines
+     * are correct here too, just sequential — callers wanting overlap
      * use submit_round.
      */
     PsRoundStats run_round(const std::vector<int> &device_ids,
@@ -92,8 +89,8 @@ class PsServer
     AsyncAggregator &aggregator() { return agg_; }
 
     /**
-     * Push-path wire bytes this runtime would have moved (classic mode,
-     * in-process): the sum of each update's encoded payload size under
+     * Push-path wire bytes this in-process runtime would have moved:
+     * the sum of each update's encoded payload size under
      * cfg.compression — raw f32 bytes for None.
      */
     uint64_t push_payload_bytes() const;
@@ -104,14 +101,12 @@ class PsServer
     ShardedStore store_;
     PsExecutor &exec_;
     AsyncAggregator agg_;
-    RoundPipeline::TrainFn train_;
     ErrorFeedback error_feedback_;   ///< Push-compression residuals.
     std::atomic<uint64_t> push_payload_bytes_{0};
 
-    // Pipelined mode only. Declared after the components they use so
-    // the pipeline drains (and the eval pool joins) before any of them
-    // is torn down.
-    std::unique_ptr<PsExecutor> eval_exec_;
+    // Declared after the components they use so the pipeline drains
+    // (and the eval pool joins) before any of them is torn down.
+    std::unique_ptr<PsExecutor> eval_exec_;  ///< Pipelined mode only.
     std::unique_ptr<RoundPipeline> pipeline_;
 
     /** Wait until every submitted round is delivered and the pool idle. */

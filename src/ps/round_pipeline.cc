@@ -16,7 +16,7 @@ RoundPipeline::RoundPipeline(PsExecutor &exec, PsExecutor *eval_exec,
     const StoreSnapshot init = store.latest_snapshot();
     history_[init.epoch] = init.weights;
 
-    agg_.set_pipeline_hooks(
+    agg_.set_hooks(
         [this](const StoreSnapshot &s) { on_snapshot(s); },
         [this](uint64_t round, const PsRoundStats &stats,
                uint64_t final_epoch) {
@@ -46,16 +46,21 @@ RoundPipeline::set_checkpoint_hook(CheckpointFn fn)
 uint64_t
 RoundPipeline::pull_epoch_for_locked() const
 {
-    // Launch trigger: the previous round's first commit. The epoch is
-    // structural, so the pulled weights are a pure function of the
-    // round layout, never of thread timing. In-order retirement means
-    // this snapshot already contains every commit of rounds before the
-    // previous one — training overlap spans exactly two rounds. This
-    // is also the history-pruning floor: no future round can pull
-    // below the *next* submission's epoch.
+    // Launch trigger: the previous round's first commit when
+    // pipelined, its last commit at depth 1. The epoch is structural,
+    // so the pulled weights are a pure function of the round layout,
+    // never of thread timing. Pipelined, in-order retirement means this
+    // snapshot already contains every commit of rounds before the
+    // previous one — training overlap spans exactly two rounds; at
+    // depth 1 rounds never overlap. This is also the history-pruning
+    // floor: no future round can pull below the *next* submission's
+    // epoch.
     if (submitted_ == 0)
         return 0;
-    return last_plan_.base_clock + (last_plan_.num_batches > 0 ? 1 : 0);
+    const int batches = cfg_.pipeline_depth > 1
+        ? std::min(last_plan_.num_batches, 1)
+        : last_plan_.num_batches;
+    return last_plan_.base_clock + static_cast<uint64_t>(batches);
 }
 
 void
@@ -122,15 +127,13 @@ RoundPipeline::launch_locked(Entry &e)
     std::shared_ptr<const std::vector<float>> weights =
         history_.at(e.pull_epoch);
     const uint64_t round = e.round;
-    const uint64_t pull_epoch = e.pull_epoch;
     for (size_t seq = 0; seq < e.device_ids.size(); ++seq) {
         const int dev = e.device_ids[seq];
-        exec_.submit([this, dev, seq, round, pull_epoch, weights](
+        exec_.submit([this, dev, seq, round, weights](
                          int worker) {
             LocalUpdate u = train_(worker, dev, *weights, round);
             agg_.push_pipelined(
-                round, PsPush{std::move(u), static_cast<uint64_t>(seq),
-                              pull_epoch});
+                round, PsPush{std::move(u), static_cast<uint64_t>(seq)});
         });
     }
 }

@@ -1,38 +1,40 @@
 /**
  * @file
- * RoundPipeline: the streaming round scheduler — out-of-order execution,
- * in-order commit.
+ * RoundPipeline: the in-process round scheduler — out-of-order
+ * execution, in-order commit. Every in-process ps round runs through
+ * it, at any PsConfig::pipeline_depth.
  *
- * The classic runtime drains the executor at every round barrier, so a
- * single straggler idles every worker. The pipeline instead keeps up to
- * PsConfig::pipeline_depth rounds in flight: round r+1's jobs are
- * submitted to the executor as soon as round r's first commit publishes
- * a store snapshot, so workers fill the straggler's shadow with the
- * next round's training while the aggregator retires commits in strict
- * round order.
+ * At depth 1 a round launches once the previous round's last commit
+ * publishes: rounds never overlap, and each trains on the fully
+ * committed previous model. Above 1 the pipeline streams: round r+1's
+ * jobs are submitted to the executor as soon as round r's first commit
+ * publishes a store snapshot, so workers fill a straggler's shadow
+ * with the next round's training while the aggregator retires commits
+ * in strict round order.
  *
  * Determinism contract. Every scheduling decision is *structural* — a
  * function of the round layout, never of thread timing:
  *
  * - Every job of round r pulls the same published snapshot, taken at
- *   the round's launch epoch E_r = base_{r-1} + 1 (the previous
- *   round's first commit). Pulls wait for that exact epoch.
+ *   the round's launch epoch: E_r = base_{r-1} + 1 (the previous
+ *   round's first commit) when streaming, the previous round's final
+ *   epoch at depth 1. Pulls wait for that exact epoch.
  * - Batches are sequence-contiguous and commits retire in (round,
  *   batch) order (see AsyncAggregator), so the store content at every
  *   epoch is a pure function of the seed.
  * - Results are delivered through a reorder buffer in round order.
  *
  * A corollary of the first-commit trigger: when round r launches,
- * every round before r-1 has fully committed, so training overlap
- * structurally spans two rounds — the previous round's straggler tail
- * and the current round. PsConfig::pipeline_depth > 1 is what turns
- * streaming on; beyond that it bounds how far results (and the
- * driver's observations) may lag behind submissions, not how many
- * rounds train at once.
+ * every round before r-1 has fully committed, so streaming training
+ * overlap structurally spans two rounds — the previous round's
+ * straggler tail and the current round. Beyond turning streaming on,
+ * PsConfig::pipeline_depth bounds how far results (and the driver's
+ * observations) may lag behind submissions, not how many rounds train
+ * at once.
  *
- * Hence pipeline_depth=1 with SemiAsync(S=0) is bit-for-bit the
- * synchronous path, and two pipelined runs at any depth with the same
- * seed produce identical weights — the property tests enforce both.
+ * Hence SemiAsync(S=0) is bit-for-bit the synchronous path at any
+ * depth, and two runs with the same seed produce identical weights at
+ * any depth, bound and thread count — the property tests enforce both.
  *
  * Evaluation rides the same snapshots: when a round retires, its final
  * snapshot is handed to a concurrent eval pool; accuracy lands in the

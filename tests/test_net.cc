@@ -932,6 +932,51 @@ TEST(FlCluster, LoopbackSemiAsyncZeroBoundMatchesSyncBitForBit)
     EXPECT_EQ(clustered.cluster()->server().dead_evictions(), 0u);
 }
 
+TEST(FlCluster, LoopbackMatchesInProcessClassicAtEveryBound)
+{
+    // One commit discipline for both runtimes: rounds register with the
+    // aggregator, every job pulls the round's launch snapshot and seqs
+    // fix the batches. So past S=0 too, the loopback cluster commits the
+    // very bits the in-process runtime does — and so do their stats.
+    struct Runtime
+    {
+        const char *name;
+        SyncMode mode;
+        int bound;
+    };
+    for (const Runtime &rt : {Runtime{"SemiAsync S=1", SyncMode::SemiAsync, 1},
+                              Runtime{"Async", SyncMode::Async, 0}}) {
+        FlSystemConfig local_cfg = cluster_system("", 0);
+        local_cfg.ps.mode = rt.mode;
+        local_cfg.ps.staleness_bound = rt.bound;
+        FlSystemConfig net_cfg = cluster_system("loopback", 3);
+        net_cfg.ps.mode = rt.mode;
+        net_cfg.ps.staleness_bound = rt.bound;
+        FlSystem local(local_cfg);
+        FlSystem clustered(net_cfg);
+        ASSERT_NE(local.ps(), nullptr);
+        ASSERT_NE(clustered.cluster(), nullptr);
+
+        for (uint64_t round = 0; round < 3; ++round) {
+            const PsRoundStats a = local.run_round(kRoundIds, round);
+            const PsRoundStats b = clustered.run_round(kRoundIds, round);
+            EXPECT_EQ(a.pushed, b.pushed) << rt.name;
+            EXPECT_EQ(a.applied, b.applied) << rt.name;
+            EXPECT_EQ(a.commits, b.commits) << rt.name;
+            EXPECT_EQ(a.mean_staleness, b.mean_staleness) << rt.name;
+            EXPECT_EQ(a.max_staleness, b.max_staleness) << rt.name;
+            EXPECT_GT(b.commits, 1) << rt.name;
+            const auto &x = local.server().global_weights();
+            const auto &y = clustered.server().global_weights();
+            ASSERT_EQ(x.size(), y.size());
+            for (size_t i = 0; i < x.size(); ++i)
+                ASSERT_EQ(x[i], y[i]) << rt.name << " round " << round
+                                      << " index " << i;
+        }
+        EXPECT_EQ(clustered.cluster()->server().dead_evictions(), 0u);
+    }
+}
+
 TEST(FlCluster, DeadWorkerBecomesEvictionNotHang)
 {
     // Kill-a-client semantics: worker 0 wedges (heartbeats stop,

@@ -7,6 +7,7 @@
  */
 #include <atomic>
 #include <cmath>
+#include <memory>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -194,24 +195,56 @@ TEST(PsRuntime, SemiAsyncZeroBoundMatchesSyncFedNova)
 
 TEST(PsRuntime, WeightsIndependentOfThreadCount)
 {
-    // Serial vs parallel, for both the synchronous path and the ps
-    // runtime at S=0: the client seed derives from (seed, device,
-    // round), never from the worker thread.
-    FlSystem sync1(ps_system(SyncMode::Sync, 0, 1));
-    FlSystem sync8(ps_system(SyncMode::Sync, 0, 8));
-    FlSystem semi1(ps_system(SyncMode::SemiAsync, 0, 1));
-    FlSystem semi4(ps_system(SyncMode::SemiAsync, 0, 4));
-
-    for (uint64_t round = 0; round < 2; ++round) {
-        sync1.run_round(kRoundIds, round);
-        sync8.run_round(kRoundIds, round);
-        semi1.run_round(kRoundIds, round);
-        semi4.run_round(kRoundIds, round);
+    // Serial vs parallel, for the synchronous path and the ps runtime
+    // at S=0, S=1 and in Async mode: the client seed derives from
+    // (seed, device, round), never from the worker thread, and ps
+    // batches are structural — every job pulls its round's launch
+    // snapshot and an update's staleness is its batch index — so
+    // neither the weights nor the reported staleness depend on how
+    // many threads train.
+    struct Runtime
+    {
+        const char *name;
+        SyncMode mode;
+        int bound;
+    };
+    const std::vector<Runtime> runtimes = {
+        {"Sync", SyncMode::Sync, 0},
+        {"SemiAsync S=0", SyncMode::SemiAsync, 0},
+        {"SemiAsync S=1", SyncMode::SemiAsync, 1},
+        {"Async", SyncMode::Async, 0},
+    };
+    std::vector<float> sync_weights;
+    for (const Runtime &rt : runtimes) {
+        FlSystem serial(ps_system(rt.mode, rt.bound, 1));
+        std::vector<std::unique_ptr<FlSystem>> parallel;
+        for (int threads : {4, 8})
+            parallel.push_back(std::make_unique<FlSystem>(
+                ps_system(rt.mode, rt.bound, threads)));
+        for (uint64_t round = 0; round < 2; ++round) {
+            const PsRoundStats a = serial.run_round(kRoundIds, round);
+            for (auto &fl : parallel) {
+                const PsRoundStats b = fl->run_round(kRoundIds, round);
+                EXPECT_EQ(a.commits, b.commits) << rt.name;
+                EXPECT_EQ(a.applied, b.applied) << rt.name;
+                EXPECT_EQ(a.mean_staleness, b.mean_staleness)
+                    << rt.name << " round " << round;
+                EXPECT_EQ(a.max_staleness, b.max_staleness) << rt.name;
+            }
+        }
+        for (auto &fl : parallel) {
+            EXPECT_TRUE(serial.server().global_weights() ==
+                        fl->server().global_weights())
+                << rt.name << ": 1 vs " << fl->config().threads
+                << " threads";
+        }
+        if (rt.mode == SyncMode::Sync) {
+            sync_weights = serial.server().global_weights();
+        } else if (rt.mode == SyncMode::SemiAsync && rt.bound == 0) {
+            EXPECT_TRUE(serial.server().global_weights() == sync_weights)
+                << rt.name << " vs Sync";
+        }
     }
-    const auto &a = sync1.server().global_weights();
-    EXPECT_EQ(a, sync8.server().global_weights());
-    EXPECT_EQ(a, semi1.server().global_weights());
-    EXPECT_EQ(a, semi4.server().global_weights());
 }
 
 TEST(PsRuntime, SemiAsyncAccountsForEveryPush)

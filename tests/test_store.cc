@@ -484,8 +484,9 @@ run_rounds(FlSystem &fl, uint64_t first, uint64_t last)
  * the artifact at round R, build a fresh system resuming from it, run
  * the remaining rounds, and the final weights must be bit-identical
  * to the uninterrupted run. Holds for every runtime whose rounds
- * commit in a single batch (Sync; SemiAsync S=0 classic and pipelined
- * — the same contract SemiAsync(S=0) == Sync sets).
+ * train on the fully committed previous model: Sync, every classic
+ * (depth 1) runtime, and pipelined rounds that commit in a single
+ * batch (S=0 — the same contract SemiAsync(S=0) == Sync sets).
  */
 void
 expect_bit_exact_resume(FlSystemConfig cfg, const std::string &tag)
@@ -535,6 +536,14 @@ TEST(CrashResume, ClassicSemiAsyncS0BitExact)
     expect_bit_exact_resume(small_job(1, 0), "classic_s0");
 }
 
+TEST(CrashResume, ClassicSemiAsyncS1BitExact)
+{
+    // Two batches a round, but a depth-1 round launches at the previous
+    // round's last commit: the artifact is everything the next round
+    // pulls.
+    expect_bit_exact_resume(small_job(1, 1), "classic_s1");
+}
+
 TEST(CrashResume, PipelinedSemiAsyncS0BitExact)
 {
     // The tentpole contract: checkpoint mid-pipelined-run, kill,
@@ -567,30 +576,28 @@ file_bytes(const std::string &path)
             std::istreambuf_iterator<char>()};
 }
 
-TEST(CrashResume, ArtifactsAreByteIdenticalAcrossRuntimes)
+/**
+ * Run rounds [first, last] on every runtime of @p runs, each into its
+ * own snapshot directory and resuming from @p resume_from when it is
+ * set, and expect every artifact written by more than one runtime —
+ * and latest.snap — to be the same bytes. The writer drops superseded
+ * requests by design, so a round may be missing from some runtimes.
+ */
+void
+expect_identical_artifacts(
+    const std::vector<std::pair<std::string, FlSystemConfig>> &runs,
+    uint64_t first, uint64_t last, const std::string &resume_from)
 {
-    // SemiAsync(S=0) == Sync reaches the disk: every single-commit
-    // runtime stamps the same epoch for the same round, so one round's
-    // artifact is the same bytes whichever runtime wrote it. The
-    // writer drops superseded requests by design, so a round may be
-    // missing from some runtimes; every round written by more than one
-    // must match, and so must latest.snap after flush().
-    constexpr uint64_t kRounds = 4;
-    const std::vector<std::pair<std::string, FlSystemConfig>> runs = {
-        {"sync", small_job(1, -1)},
-        {"classic_s0", small_job(1, 0)},
-        {"pipelined_s0", small_job(3, 0)},
-        {"loopback_s0", loopback_job()},
-    };
     std::map<std::string, std::pair<std::string, std::string>> seen;
     int compared = 0;
     for (const auto &[tag, job] : runs) {
         const ScratchDir dir("bytes_" + tag);
         FlSystemConfig cfg = job;
         cfg.ps.snapshot_dir = dir;
+        cfg.ps.resume_from = resume_from;
         {
             FlSystem fl(cfg);
-            run_rounds(fl, 0, kRounds - 1);
+            run_rounds(fl, first, last);
             ASSERT_NE(fl.checkpoint_writer(), nullptr);
             fl.checkpoint_writer()->flush();
             ASSERT_EQ(fl.checkpoint_writer()->stats().last_status,
@@ -598,7 +605,7 @@ TEST(CrashResume, ArtifactsAreByteIdenticalAcrossRuntimes)
                 << tag;
         }
         std::vector<std::string> names = {"latest.snap"};
-        for (uint64_t r = 0; r < kRounds; ++r)
+        for (uint64_t r = first; r <= last; ++r)
             names.push_back("model-r" + std::to_string(r) + ".snap");
         for (const std::string &name : names) {
             const std::string bytes = file_bytes(dir + ("/" + name).c_str());
@@ -615,13 +622,46 @@ TEST(CrashResume, ArtifactsAreByteIdenticalAcrossRuntimes)
             }
             EXPECT_TRUE(bytes == it->second.second)
                 << name << " differs between " << it->second.first
-                << " and " << tag;
+                << " and " << tag
+                << (resume_from.empty() ? "" : " (resumed)");
             ++compared;
         }
     }
     // latest.snap alone gives one comparison per runtime after the
     // first.
     EXPECT_GE(compared, static_cast<int>(runs.size()) - 1);
+}
+
+TEST(CrashResume, ArtifactsAreByteIdenticalAcrossRuntimes)
+{
+    // SemiAsync(S=0) == Sync reaches the disk: every single-commit
+    // runtime stamps the same epoch for the same round, so one round's
+    // artifact is the same bytes whichever runtime wrote it — also
+    // after a resume, where every runtime continues the epochs of the
+    // artifact it resumed from.
+    const std::vector<std::pair<std::string, FlSystemConfig>> runs = {
+        {"sync", small_job(1, -1)},
+        {"classic_s0", small_job(1, 0)},
+        {"pipelined_s0", small_job(3, 0)},
+        {"loopback_s0", loopback_job()},
+    };
+    expect_identical_artifacts(runs, 0, 3, "");
+
+    // The resumed leg: every runtime resumes from the same round-1
+    // artifact and trains rounds 2-3.
+    const ScratchDir source("bytes_source");
+    {
+        FlSystemConfig cfg = small_job(1, -1);
+        cfg.ps.snapshot_dir = source;
+        FlSystem fl(cfg);
+        run_rounds(fl, 0, 1);
+        fl.checkpoint_writer()->flush();
+    }
+    const std::string artifact = source.str() + "/model-r1.snap";
+    SnapshotData d;
+    ASSERT_EQ(store::read_snapshot_file(artifact, &d), SnapshotStatus::Ok);
+    ASSERT_EQ(d.meta.epoch, 2u);
+    expect_identical_artifacts(runs, 2, 3, artifact);
 }
 
 TEST(CrashResume, ResumeRejectsWrongModelArtifact)
